@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .analytic import DensityParams, combined_density, fit_histogram
 from .fitting import fit_model, get_model
-from .markov import HmmParams, simulate_batch, em_fit
+from .markov import HmmParams, ZeroLikelihoodError, simulate_batch, em_fit
 from .physics import SensorParams, delta_c_drt
 from .pipeline import (
     IqBatch,
@@ -32,7 +32,7 @@ from .pipeline import (
     noise_scaling,
     with_linear_drift,
 )
-from .readout import ReadoutBasis, fidelity_sweep
+from .readout import ReadoutBasis, fidelity_sweep, window_average_batch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -496,9 +496,10 @@ def _cmd_emit(config, seed, out_dir):
         if config["input"] is None or config["t_read_s"] is None:
             raise ConfigError("histogram family requires input and t_read_s")
         bundle = _require_bundle(config["input"])
-        batch = bundle.to_batch()
-        n_win = max(1, int(config["t_read_s"] / batch.dt + 1e-9))
-        avgs = batch.samples[:, :n_win].mean(axis=1)
+        try:
+            avgs = window_average_batch(bundle.to_batch(), config["t_read_s"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         centers, counts = build_histogram(avgs, config["bins"])
         width = centers[1] - centers[0]
         total = counts.sum()
@@ -576,7 +577,7 @@ def main(argv=None) -> int:
         for assignment in args.set:
             _set_override(raw_config, assignment)
         seed = args.seed if args.seed is not None else raw_config.pop("seed", None)
-        if seed is not None and (not isinstance(seed, int) or seed < 0):
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
             raise ConfigError("seed must be a non-negative integer")
         config = _validate_config(args.command, raw_config)
         report["seed"] = seed
@@ -595,6 +596,9 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         report["results"] = exc.report
         report["outputs"] = exc.outputs
+        report["error"] = str(exc)
+        code = EXIT_NON_CONVERGENCE
+    except ZeroLikelihoodError as exc:
         report["error"] = str(exc)
         code = EXIT_NON_CONVERGENCE
     report["wall_clock_s"] = time.monotonic() - started

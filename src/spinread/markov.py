@@ -247,8 +247,6 @@ class Trace:
 
     dt: float
     samples: np.ndarray
-    label: SpinState | None = None
-    background: np.ndarray | None = None
 
     def __post_init__(self):
         samples = np.ascontiguousarray(np.asarray(self.samples, dtype=float))
@@ -301,12 +299,7 @@ class TraceBatch:
         return self.n_traces
 
     def __getitem__(self, k: int) -> Trace:
-        return Trace(
-            dt=self.dt,
-            samples=self.samples[k],
-            label=SpinState(int(self.labels[k])) if self.labels is not None else None,
-            background=self.backgrounds[k] if self.backgrounds is not None else None,
-        )
+        return Trace(dt=self.dt, samples=self.samples[k])
 
     def spin_labels(self) -> np.ndarray:
         if self.labels is None:
@@ -368,40 +361,65 @@ def simulate_batch(
     return (batch, paths) if return_paths else batch
 
 
-def _emission_likelihoods(y: np.ndarray, means: np.ndarray, stds: np.ndarray):
-    """Per-step emission likelihoods rescaled so the best state has 1.
+# Largest (T, 6, n_chunk) float array built per trace chunk (80 MB).
+_CHUNK_ELEMENTS = 10_000_000
 
-    y is (n, T); returns b of shape (n, T, 6) and the log-scale shift
-    (n, T) that was subtracted, to be added back to log-likelihoods.
+
+def _trace_chunks(n_traces: int, n_samples: int):
+    step = max(1, _CHUNK_ELEMENTS // (N_STATES * n_samples))
+    for start in range(0, n_traces, step):
+        yield slice(start, min(start + step, n_traces))
+
+
+def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray):
+    """State-major emission likelihoods rescaled so the best state has 1.
+
+    yt is (T, n), one trace per column; returns b of shape (T, 6, n) and
+    the per-trace sum over steps of the log-scale shift that was
+    subtracted, (n,), to be added back to log-likelihoods.
     """
-    z = (y[:, :, None] - means[None, None, :]) / stds[None, None, :]
-    logb = -0.5 * z * z - (np.log(stds)[None, None, :] + _LOG_SQRT_2PI)
-    shift = logb.max(axis=2)
-    b = np.exp(logb - shift[:, :, None])
-    return b, shift
+    b = yt[:, None, :] - means[:, None]
+    b /= stds[:, None]
+    b *= b
+    b *= -0.5
+    b -= (np.log(stds) + _LOG_SQRT_2PI)[:, None]
+    shift = b.max(axis=1)
+    b -= shift[:, None, :]
+    np.exp(b, out=b)
+    return b, shift.sum(axis=0)
 
 
-def _forward(pi, a, b, shift, keep_alphas: bool):
-    """Scaled forward recursion. b, shift as from _emission_likelihoods."""
-    n, t_len, _ = b.shape
-    c = np.empty((n, t_len))
-    alphas = np.empty((n, t_len, N_STATES)) if keep_alphas else None
-    alpha = pi[None, :] * b[:, 0, :]
-    work = np.empty_like(alpha)
-    for t in range(t_len):
+def _forward(pi: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Scaled forward recursion (Rabiner 1989) over b from _emission_likelihoods.
+
+    Yields, for t = 0 .. T-1, the normalised forward variable alpha_t
+    (6, n), a fresh array each step, and its scale c_t (n,). The
+    log-likelihood is the sum of log c_t plus the emission shift.
+    """
+    alpha = pi[:, None] * b[0]
+    for t in range(b.shape[0]):
         if t > 0:
-            np.matmul(alpha, a, out=work)
-            work *= b[:, t, :]
-            alpha, work = work, alpha
-        norm = alpha.sum(axis=1)
-        if np.any(norm <= 0.0):
+            alpha = (a.T @ alpha) * b[t]
+        c = alpha.sum(axis=0)
+        if np.any(c <= 0.0):
             raise ZeroLikelihoodError(t)
-        alpha /= norm[:, None]
-        c[:, t] = norm
-        if keep_alphas:
-            alphas[:, t, :] = alpha
-    log_lik = np.log(c).sum(axis=1) + shift.sum(axis=1)
-    return alphas, alpha, c, log_lik
+        alpha /= c
+        yield alpha, c
+
+
+def _backward(a: np.ndarray, b: np.ndarray, c):
+    """Scaled backward recursion with the forward scales c_t, indexed by t.
+
+    Yields (t, beta_t, w_t) for t = T-1 down to 0: the scaled backward
+    variable beta_t (6, n) and w_t = b_t beta_t / c_t, so that
+    beta_{t-1} = a @ w_t, the posterior is alpha_t beta_t and the expected
+    transition counts from step t-1 are alpha_{t-1}(i) a(i, j) w_t(j).
+    """
+    beta = np.ones(b.shape[1:])
+    for t in range(b.shape[0] - 1, -1, -1):
+        w = beta * b[t] / c[t]
+        yield t, beta, w
+        beta = a @ w
 
 
 def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = None) -> Posterior:
@@ -411,18 +429,17 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     log-likelihood is recovered from the scaling constants.
     """
     n_window = _window_samples(trace.dt, trace.samples.size, t_read)
-    y = trace.samples[np.newaxis, :n_window]
-    b, shift = _emission_likelihoods(y, params.emissions.means, params.emissions.stds)
-    alphas, _, c, log_lik = _forward(params.pi, params.a, b, shift, keep_alphas=True)
-
-    gammas = np.empty((n_window, N_STATES))
-    beta = np.ones((1, N_STATES))
-    gammas[n_window - 1] = alphas[0, n_window - 1]
-    for t in range(n_window - 2, -1, -1):
-        beta = ((beta * b[:, t + 1, :]) @ params.a.T) / c[:, t + 1][:, None]
-        gammas[t] = alphas[0, t] * beta[0]
-    gammas /= gammas.sum(axis=1, keepdims=True)
-    return Posterior(probs=gammas, log_likelihood=float(log_lik[0]))
+    b, shift = _emission_likelihoods(
+        trace.samples[:n_window, np.newaxis], params.emissions.means, params.emissions.stds
+    )
+    alphas, c = zip(*_forward(params.pi, params.a, b))
+    gammas = np.array(alphas)
+    for t, beta, _ in _backward(params.a, b, c):
+        gammas[t] *= beta
+    return Posterior(
+        probs=gammas[:, :, 0] / gammas.sum(axis=1),
+        log_likelihood=float(np.log(c).sum() + shift[0]),
+    )
 
 
 def start_posterior_batch(params: HmmParams, samples: np.ndarray):
@@ -437,19 +454,14 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
         raise ValueError("samples must be 2-D")
     gamma0 = np.empty((y.shape[0], N_STATES))
     log_lik = np.empty(y.shape[0])
-    chunk = max(1, int(1e7) // (N_STATES * max(y.shape[1], 1)))
-    for start in range(0, y.shape[0], chunk):
-        sl = slice(start, min(start + chunk, y.shape[0]))
-        b, shift = _emission_likelihoods(y[sl], params.emissions.means, params.emissions.stds)
-        _, _, c, ll = _forward(params.pi, params.a, b, shift, keep_alphas=False)
-        alpha0 = params.pi[None, :] * b[:, 0, :]
-        alpha0 /= alpha0.sum(axis=1, keepdims=True)
-        beta = np.ones((b.shape[0], N_STATES))
-        for t in range(y.shape[1] - 2, -1, -1):
-            beta = ((beta * b[:, t + 1, :]) @ params.a.T) / c[:, t + 1][:, None]
-        g0 = alpha0 * beta
-        gamma0[sl] = g0 / g0.sum(axis=1, keepdims=True)
-        log_lik[sl] = ll
+    for sl in _trace_chunks(*y.shape):
+        b, shift = _emission_likelihoods(y[sl].T, params.emissions.means, params.emissions.stds)
+        c = [c_t for _, c_t in _forward(params.pi, params.a, b)]
+        for _, beta, _ in _backward(params.a, b, c):
+            pass
+        g0 = params.pi[:, None] * b[0] * beta
+        gamma0[sl] = (g0 / g0.sum(axis=0)).T
+        log_lik[sl] = np.log(c).sum(axis=0) + shift
     return gamma0, log_lik
 
 
@@ -502,12 +514,12 @@ def log_likelihood(params: HmmParams, batch: TraceBatch) -> float:
     if batch.n_traces == 0:
         raise ValueError("batch must be non-empty")
     total = 0.0
-    chunk = max(1, int(1e7) // (N_STATES * max(batch.n_samples, 1)))
-    for start in range(0, batch.n_traces, chunk):
-        yc = batch.samples[start : start + chunk]
-        b, shift = _emission_likelihoods(yc, params.emissions.means, params.emissions.stds)
-        _, _, _, ll = _forward(params.pi, params.a, b, shift, keep_alphas=False)
-        total += float(ll.sum())
+    for sl in _trace_chunks(batch.n_traces, batch.n_samples):
+        b, shift = _emission_likelihoods(
+            batch.samples[sl].T, params.emissions.means, params.emissions.stds
+        )
+        c = [c_t for _, c_t in _forward(params.pi, params.a, b)]
+        total += float(np.log(c).sum() + shift.sum())
     return total
 
 
@@ -616,8 +628,6 @@ def em_fit(
     converged = False
     floored = False
     var_floor = 1e-12
-    # chunk so that the two big per-chunk arrays (b, alphas) stay ~400 MB
-    chunk = max(1, int(2.5e7) // (N_STATES * max(t_len, 1)))
 
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
@@ -627,49 +637,35 @@ def em_fit(
         m1_acc = np.zeros(N_STATES)
         m2_acc = np.zeros(N_STATES)
         ll_total = 0.0
-        a_t = np.ascontiguousarray(a.T)
 
-        for start in range(0, n, chunk):
-            yc = y[start : start + chunk]
-            nc = yc.shape[0]
-            b, shift = _emission_likelihoods(yc, means, stds)
-            alphas, _, c, ll = _forward(pi, a, b, shift, keep_alphas=True)
-            ll_total += float(ll.sum())
+        for sl in _trace_chunks(n, t_len):
+            yt = y[sl].T
+            b, shift = _emission_likelihoods(yt, means, stds)
+            alphas, c = zip(*_forward(pi, a, b))
+            ll_total += float(np.log(c).sum() + shift.sum())
 
-            beta = np.ones((nc, N_STATES))
-            scaled = np.empty((nc, N_STATES))
-            gamma = alphas[:, t_len - 1, :]
-            w_acc += gamma.sum(axis=0)
-            m1_acc += gamma.T @ yc[:, t_len - 1]
-            m2_acc += gamma.T @ (yc[:, t_len - 1] ** 2)
-            for t in range(t_len - 2, -1, -1):
-                np.multiply(beta, b[:, t + 1, :], out=scaled)
-                scaled /= c[:, t + 1][:, None]
-                xi_acc += alphas[:, t, :].T @ scaled
-                np.matmul(scaled, a_t, out=beta)
-                gamma = alphas[:, t, :] * beta
-                w_acc += gamma.sum(axis=0)
-                m1_acc += gamma.T @ yc[:, t]
-                m2_acc += gamma.T @ (yc[:, t] ** 2)
-                if t == 0:
-                    pi_acc += gamma.sum(axis=0)
-        # xi entries already carry the factor a via the forward recursion
-        # of alpha; apply it once here instead of per step
+            for t, beta, w in _backward(a, b, c):
+                gamma = alphas[t] * beta
+                w_acc += gamma.sum(axis=1)
+                m1_acc += gamma @ yt[t]
+                m2_acc += gamma @ (yt[t] ** 2)
+                if t > 0:
+                    xi_acc += alphas[t - 1] @ w.T
+            pi_acc += gamma.sum(axis=1)  # the backward pass ends at t = 0
+        # xi entries lack the factor a(i, j) of each expected transition;
+        # apply it once here instead of per step
         xi_acc *= a
 
-        if t_len == 1:
-            pi_acc = w_acc.copy()
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
             converged = True
             break
 
         pi = pi_acc / pi_acc.sum()
-        if t_len > 1:
-            num = np.where(STRUCTURAL_MASK, xi_acc, 0.0)
-            row = num.sum(axis=1)
-            ok = row > 1e-300
-            a = np.where(ok[:, None], num / np.where(ok, row, 1.0)[:, None], a)
+        num = np.where(STRUCTURAL_MASK, xi_acc, 0.0)
+        row = num.sum(axis=1)
+        ok = row > 1e-300
+        a = np.where(ok[:, None], num / np.where(ok, row, 1.0)[:, None], a)
 
         if not freeze_emissions:
             if tie_emissions:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .markov import SpinState, TraceBatch
+from .markov import SpinState, TraceBatch, _window_samples
 
 FORMAT_VERSION = 1
 
@@ -318,9 +318,7 @@ def noise_scaling(bundle: TraceBundle, t_read_list, fit_fraction: float = 0.5) -
     inv_snr = np.empty(t_read_list.size)
     cums = np.cumsum(batch.samples, axis=1)
     for i, t in enumerate(t_read_list):
-        n_win = int(math.floor(t / batch.dt + 1e-9))
-        if n_win < 1 or n_win > batch.n_samples:
-            raise ValueError("t_read outside the trace duration")
+        n_win = _window_samples(batch.dt, batch.n_samples, t)
         avgs = cums[:, n_win - 1] / n_win
         a, b = avgs[mask0], avgs[~mask0]
         delta = abs(b.mean() - a.mean())

@@ -93,6 +93,19 @@ class TestSimulate:
         assert TraceBundle.load(str(tmp_path / "sim")).manifest.n_traces == 25
 
 
+    def test_bool_seed_rejected(self, tmp_path, capsys):
+        payload = {"hmm": _hmm_dict(), "n_traces": 10, "n_samples": 5}
+        config = _write_config(tmp_path, "sim.json", payload)
+        code, _, err = _run(capsys, [
+            "simulate", "--config", config, "--set", "seed=true", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "seed" in err
+        config = _write_config(tmp_path, "seeded.json", dict(payload, seed=True))
+        code, _, err = _run(capsys, ["simulate", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed" in err
+
 class TestClassifyAndSweep:
     @pytest.fixture()
     def bundle_path(self, tmp_path, capsys):
@@ -140,6 +153,18 @@ class TestClassifyAndSweep:
         code, _, err = _run(capsys, ["classify", "--config", config, "--out", str(tmp_path)])
         assert code == 3
         assert "missing input" in err
+
+    def test_vanishing_likelihood_exits_4_with_report(self, tmp_path, capsys, bundle_path):
+        hmm = _hmm_dict(gamma_t0=0.0, gamma_tm=0.0, std=1e-3, spin=(1.0, 0.0, 0.0))
+        hmm["emissions"]["means"] = [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        config = _write_config(tmp_path, "cls.json", {
+            "input": bundle_path, "hmm": hmm, "classifier": "hmm",
+            "basis": "parity", "t_read_s": 1e-4,
+        })
+        code, report, _ = _run(capsys, ["classify", "--config", config, "--out", str(tmp_path)])
+        assert code == 4
+        assert report["command"] == "classify"
+        assert "vanished" in report["error"]
 
 
 class TestPreprocess:
@@ -291,3 +316,16 @@ class TestSnrAndEmit:
         lines = (tmp_path / "hist.csv").read_text().strip().splitlines()
         assert lines[0] == "bin_center,count,density_two_state,density_three_state"
         assert len(lines) == 42
+
+    def test_emit_histogram_window_beyond_trace_is_config_error(self, tmp_path, capsys):
+        sim = _write_config(tmp_path, "sim.json", {
+            "hmm": _hmm_dict(), "n_traces": 20, "n_samples": 10, "output": "sim",
+        })
+        _run(capsys, ["simulate", "--config", sim, "--seed", "8", "--out", str(tmp_path)])
+        config = _write_config(tmp_path, "emit.json", {
+            "family": "histogram", "input": str(tmp_path / "sim"), "t_read_s": 1.0,
+        })
+        code, _, err = _run(capsys, ["emit", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert "t_read" in err
+        assert not (tmp_path / "plotdata.csv").exists()

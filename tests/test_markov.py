@@ -31,6 +31,18 @@ def _random_params(rng, dt=1.0):
     )
 
 
+def _unreachable_params():
+    """Only (S,G) is ever occupied, and it cannot emit a sample near 1e6."""
+    return sr.HmmParams(
+        pi=np.array([1.0, 0, 0, 0, 0, 0]),
+        rates=sr.RateSet(0, 0),
+        dt=1.0,
+        emissions=sr.EmissionModel(
+            means=np.array([0.0, 1e6, 1e6, 1e6, 1e6, 1e6]), stds=np.full(6, 1e-3)
+        ),
+    )
+
+
 class TestGenerator:
     def test_zero_rates_zero_matrix(self):
         q = build_generator(sr.RateSet(0, 0, 0, 0))
@@ -253,22 +265,97 @@ class TestForwardBackward:
             assert abs(ll[k] - post.log_likelihood) < 1e-9
 
     def test_unreachable_likelihood_mass_raises_with_step(self):
-        params = sr.HmmParams(
-            pi=np.array([1.0, 0, 0, 0, 0, 0]),
-            rates=sr.RateSet(0, 0),
-            dt=1.0,
-            emissions=sr.EmissionModel(
-                means=np.array([0.0, 1e6, 1e6, 1e6, 1e6, 1e6]), stds=np.full(6, 1e-3)
-            ),
-        )
         with pytest.raises(ZeroLikelihoodError) as err:
-            sr.forward_backward(params, sr.Trace(dt=1.0, samples=[1e6]))
+            sr.forward_backward(_unreachable_params(), sr.Trace(dt=1.0, samples=[1e6]))
         assert err.value.step == 0
 
     def test_brute_force_length_cap(self):
         params = _random_params(np.random.default_rng(10))
         with pytest.raises(ValueError):
             sr.brute_force_posterior(params, sr.Trace(dt=1.0, samples=np.zeros(11)))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p, y: start_posterior_batch(p, y),
+        lambda p, y: sr.em_fit(sr.TraceBatch(dt=1.0, samples=y), p),
+    ],
+    ids=["start_posterior_batch", "em_fit"],
+)
+def test_zero_likelihood_step_reported_by_batch_paths(run):
+    # the second trace's third sample is unreachable from the only live state
+    with pytest.raises(ZeroLikelihoodError) as err:
+        run(_unreachable_params(), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e6]]))
+    assert err.value.step == 2
+
+
+class TestGoldenValues:
+    """Outputs recorded from the implementation that preceded the shared
+    forward-backward recursion; the inputs are seeded, so any drift beyond
+    roundoff shows."""
+
+    def test_start_posterior_batch(self):
+        rng = np.random.default_rng(40)
+        params = _random_params(rng)
+        expected = {
+            1: (
+                [[1.1657282699161387e-03, 5.2652913222122365e-02, 1.9646700388375732e-01,
+                  3.6657456536687014e-06, 3.2518807644785424e-05, 7.4967817007090565e-01],
+                 [8.8020662820036740e-04, 5.2804838063139993e-02, 2.1540095496407516e-01,
+                  2.4061349411210831e-06, 1.9745032732807934e-05, 7.3089184917691052e-01]],
+                [-1.4908943681915046, -1.5663814272871068],
+            ),
+            2: (
+                [[1.2516887804063770e-03, 1.4042287693520592e-02, 5.3687691992674598e-02,
+                  3.8225426757614209e-06, 1.9186609436489893e-04, 9.3082264289635774e-01],
+                 [1.7273008687747816e-02, 3.8289591510560432e-02, 3.1070573748742843e-02,
+                  1.2300205678717182e-04, 2.3280591018030859e-03, 9.1091576489435866e-01]],
+                [-1.5715956702344802, -1.3356736050942581],
+            ),
+            9: (
+                [[1.7221623431925644e-08, 1.4247762464748083e-04, 1.1473716418648236e-01,
+                  3.6337102072803574e-12, 3.4411796480011427e-10, 8.8512034061949507e-01],
+                 [5.2577477626491750e-11, 5.8009817497080378e-05, 1.1000782093846702e-01,
+                  2.2156016293757265e-13, 5.7079301904539779e-06, 8.8992846126104641e-01]],
+                [-7.137672955065145, -9.724267425283578],
+            ),
+        }
+        for t_len, (gamma0_ref, ll_ref) in expected.items():
+            gamma0, ll = start_posterior_batch(params, rng.uniform(-1, 2, (2, t_len)))
+            np.testing.assert_allclose(gamma0, gamma0_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ll, ll_ref, rtol=1e-12, atol=0)
+
+    def test_em_fit_two_iterations(self):
+        truth = sr.HmmParams.from_spin_model(
+            [0.3, 0.3, 0.4], sr.RateSet(1e4, 1e3, 40.0, 80.0), dt=1e-5, std=0.35,
+            tlf_excited_prob=0.2,
+        )
+        init = sr.HmmParams.from_spin_model(
+            [1 / 3, 1 / 3, 1 / 3], sr.RateSet(2e4, 3e3, 100.0, 100.0), dt=1e-5, std=0.5,
+            v_singlet=-0.1, v_triplet=1.2, tlf_excited_prob=0.1,
+        )
+        fit = sr.em_fit(sr.simulate_batch(truth, 40, 25, seed=41), init, max_iter=2)
+        p = fit.params
+        rtol = dict(rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            fit.log_likelihoods, [-610.0205548029192, -464.02045566398806], **rtol
+        )
+        np.testing.assert_allclose(p.pi, [
+            0.3400393071149675, 0.1809392776380768, 0.31715854056637455,
+            0.044881044911934675, 0.057015950770680446, 0.059965878997966016,
+        ], **rtol)
+        v_singlet, v_triplet = -0.006072556282244302, 0.9952793611192171
+        np.testing.assert_allclose(
+            p.emissions.means, [v_singlet, v_triplet, v_triplet, v_triplet, v_singlet, v_singlet],
+            **rtol,
+        )
+        np.testing.assert_allclose(p.emissions.stds, np.full(6, 0.3515830465601527), **rtol)
+        np.testing.assert_allclose(
+            [p.rates.gamma_t0, p.rates.gamma_tm, p.rates.tlf_up, p.rates.tlf_down],
+            [14587.969470365524, 2285.4361759818144, 73.72702856200576, 28.9925392854483],
+            **rtol,
+        )
 
 
 class TestLogLikelihood:
