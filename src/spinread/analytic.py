@@ -4,8 +4,8 @@ The window-averaged signal of a relaxing two-level (or three-level)
 system is a Gaussian for the singlet, and for each triplet a survival
 Gaussian plus a decay tail: averaging a trace that switches from the
 triplet level to the singlet level at an exponentially distributed time
-smears mass between the two voltages. Fidelities follow from overlap
-integrals of these densities at an optimised threshold.
+smears mass between the two voltages. Fidelities follow from the exact
+CDFs of these densities at an optimised threshold.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf, erfcx
+from scipy.integrate import quad  # noqa: F401  not called; perfbench's tracer patches this name
+from scipy.special import erf, erfcx, ndtr
 
-from .fitting import least_squares_damped, poisson_weights
+from .fitting import _golden_max, least_squares_damped, poisson_weights
 from .readout import ReadoutBasis
 
 _SQRT2 = math.sqrt(2.0)
@@ -172,28 +172,43 @@ def fidelity_from_snr(snr: float, gamma_t: float) -> float:
     return 0.5 * (1.0 + erf(snr / (2.0 * _SQRT2)) * math.exp(-0.5 * gamma_t))
 
 
-def _class_densities(p: DensityParams, t: float, mode: str, basis: ReadoutBasis):
-    """Normalized low-group/high-group densities and the reference rate.
+def _singlet_cdf(x, t: float, p: DensityParams):
+    return ndtr((x - p.v_s) / sigma_of_t(p.sigma0, p.t0, t))
+
+
+def _triplet_cdf(x, t: float, t1: float, p: DensityParams):
+    """Exact CDF of :func:`triplet_density`.
+
+    Integrating the decay tail by parts over the decay time gives
+    Phi((x-v_s)/sigma) - e^-k Phi((x-v_t)/sigma) - (dv/k) tail(x), k = t/T1,
+    for either sign of dv = v_t - v_s; the survival Gaussian's CDF
+    e^-k Phi((x-v_t)/sigma) cancels the second of these terms. dv/k times the
+    tail stays O(1) as k -> 0, so small k needs no special case.
+    """
+    return _singlet_cdf(x, t, p) - (p.v_t - p.v_s) / (t / t1) * decay_tail(x, t, t1, p)
+
+
+def _class_cdfs(p: DensityParams, t: float, mode: str, basis: ReadoutBasis):
+    """CDFs of the normalized low-group/high-group densities and the reference rate.
 
     The low group contains the singlet. For three-state parity the class
     weights are pinned to (0.25, 0.25, 0.5) so odd/even stay balanced.
     """
     if mode == "two_state":
-        low = lambda v: singlet_density(v, t, p)
-        high = lambda v: triplet_density(v, t, p.t1_tm, p)
+        low = lambda x: _singlet_cdf(x, t, p)
+        high = lambda x: _triplet_cdf(x, t, p.t1_tm, p)
         gamma_ref = 1.0 / p.t1_tm
     elif basis is ReadoutBasis.PARITY:
-        low = lambda v: 0.5 * (singlet_density(v, t, p) + triplet_density(v, t, p.t1_t0, p))
-        high = lambda v: triplet_density(v, t, p.t1_tm, p)
+        low = lambda x: 0.5 * (_singlet_cdf(x, t, p) + _triplet_cdf(x, t, p.t1_t0, p))
+        high = lambda x: _triplet_cdf(x, t, p.t1_tm, p)
         gamma_ref = 1.0 / p.t1_tm
     elif basis is ReadoutBasis.SINGLET_TRIPLET:
         w = p.p_t0 + p.p_tm
         if w <= 0:
             raise ValueError("singlet_triplet basis needs triplet fractions > 0")
-        low = lambda v: singlet_density(v, t, p)
-        high = lambda v: (
-            p.p_t0 * triplet_density(v, t, p.t1_t0, p)
-            + p.p_tm * triplet_density(v, t, p.t1_tm, p)
+        low = lambda x: _singlet_cdf(x, t, p)
+        high = lambda x: (
+            p.p_t0 * _triplet_cdf(x, t, p.t1_t0, p) + p.p_tm * _triplet_cdf(x, t, p.t1_tm, p)
         ) / w
         gamma_ref = 1.0 / p.t1_t0
     else:
@@ -201,20 +216,12 @@ def _class_densities(p: DensityParams, t: float, mode: str, basis: ReadoutBasis)
     return low, high, gamma_ref
 
 
-def _cdf(density, lo: float, x: float, inner: list) -> float:
-    pts = [q for q in inner if lo < q < x]
-    val, err = quad(density, lo, x, points=pts or None, limit=200, epsabs=1e-10, epsrel=1e-9)
-    if not np.isfinite(val) or err > 1e-6:
-        raise RuntimeError("quadrature failed to converge on an error integral")
-    return val
-
-
 def analytic_fidelity(
     p: DensityParams, t: float, mode: str, basis: ReadoutBasis = ReadoutBasis.PARITY
 ) -> AnalyticFidelityReport:
     """Optimal-threshold mean fidelity from the analytic distributions.
 
-    Per-class error integrals are evaluated by adaptive quadrature; the
+    Per-class error probabilities come from the exact class CDFs; the
     threshold is located on a 2001-point grid and refined by golden
     section. Also reports the electrical fidelity and the closed-form
     SNR/relaxation estimate for reference.
@@ -223,51 +230,27 @@ def analytic_fidelity(
         raise ValueError("mode must be 'two_state' or 'three_state'")
     sigma = sigma_of_t(p.sigma0, p.t0, t)
     snr = abs(p.v_t - p.v_s) / sigma
-    low_density, high_density, gamma_ref = _class_densities(p, t, mode, basis)
-
+    low_cdf, high_cdf, gamma_ref = _class_cdfs(p, t, mode, basis)
     s_side_low = p.v_s <= p.v_t
-    lo = min(p.v_s, p.v_t) - 6.0 * sigma
-    hi = max(p.v_s, p.v_t) + 6.0 * sigma
-    inner = [p.v_s, p.v_t]
-
-    # locate the optimum on a dense grid using trapezoid CDFs, then refine
-    # against the exact quadrature objective
-    grid = np.linspace(lo, hi, 2001)
-    low_vals = low_density(grid)
-    high_vals = high_density(grid)
-    dx = grid[1] - grid[0]
-    cdf_low = np.concatenate([[0.0], np.cumsum(0.5 * (low_vals[1:] + low_vals[:-1]) * dx)])
-    cdf_high = np.concatenate([[0.0], np.cumsum(0.5 * (high_vals[1:] + high_vals[:-1]) * dx)])
-    if s_side_low:
-        f_grid = 0.5 * (cdf_low + (cdf_high[-1] - cdf_high))
-    else:
-        f_grid = 0.5 * ((cdf_low[-1] - cdf_low) + cdf_high)
-    best = int(np.argmax(f_grid))
 
     def objective(th):
-        c_low = _cdf(low_density, lo - 2.0 * sigma, th, inner)
-        c_high = _cdf(high_density, lo - 2.0 * sigma, th, inner)
         if s_side_low:
-            return 0.5 * (c_low + (1.0 - c_high))
-        return 0.5 * ((1.0 - c_low) + c_high)
+            return 0.5 * (low_cdf(th) + (1.0 - high_cdf(th)))
+        return 0.5 * ((1.0 - low_cdf(th)) + high_cdf(th))
 
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > 1e-9 * sigma:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
+    lo = min(p.v_s, p.v_t) - 6.0 * sigma
+    hi = max(p.v_s, p.v_t) + 6.0 * sigma
+    grid = np.linspace(lo, hi, 2001)
+    best = int(np.argmax(objective(grid)))
+    a, b = _golden_max(
+        objective,
+        grid[max(best - 1, 0)],
+        grid[min(best + 1, grid.size - 1)],
+        200,  # a backstop only: the stop rule ends the search within ~65 steps
+        lambda a, b: b - a <= 1e-9 * sigma,
+    )
     v_threshold = 0.5 * (a + b)
-    f_m_star = objective(v_threshold)
+    f_m_star = float(objective(v_threshold))
 
     return AnalyticFidelityReport(
         f_m_star=f_m_star,

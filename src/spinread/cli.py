@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -186,7 +187,10 @@ def _require_file(path: str) -> str:
 def _require_bundle(prefix: str) -> TraceBundle:
     _require_file(prefix + ".manifest.json")
     _require_file(prefix + ".f64")
-    return TraceBundle.load(prefix)
+    try:
+        return TraceBundle.load(prefix)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid trace bundle {prefix!r}: {exc}") from exc
 
 
 def _hmm_from_config(obj: dict) -> HmmParams:
@@ -224,17 +228,22 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
+    """Rows of finite numbers, all of one length; only the first line may be a header."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
             try:
-                rows.append([float(v) for v in parts])
+                row = [float(v) for v in line.split(",")]
             except ValueError:
-                continue  # header row
+                if lineno == 1:
+                    continue  # header row
+                raise ConfigError(f"{path} line {lineno} is not numeric: {line!r}") from None
+            if (rows and len(row) != len(rows[0])) or not all(map(math.isfinite, row)):
+                raise ConfigError(f"{path} line {lineno} is not a full row of finite numbers")
+            rows.append(row)
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] < min_cols:
         raise ConfigError(f"{path} must have at least {min_cols} numeric columns")

@@ -254,6 +254,8 @@ class Trace:
             raise ValueError("dt must be > 0")
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -270,6 +272,8 @@ class TraceBatch:
             raise ValueError("dt must be > 0")
         if samples.ndim != 2 or samples.size == 0:
             raise ValueError("samples must be a non-empty 2-D matrix")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite")
         self.dt = float(dt)
         self.samples = samples
         if labels is not None:
@@ -281,6 +285,8 @@ class TraceBatch:
             backgrounds = np.ascontiguousarray(np.asarray(backgrounds, dtype=float))
             if backgrounds.ndim != 2 or backgrounds.shape[0] != samples.shape[0]:
                 raise ValueError("backgrounds must align with traces")
+            if not np.all(np.isfinite(backgrounds)):
+                raise ValueError("backgrounds must be finite")
         self.backgrounds = backgrounds
 
     @property

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, HBAR, K_BOLTZMANN, PLANCK_H
-from .fitting import PhysicsModel, register_model
+from .fitting import PhysicsModel, _golden_max, register_model
 
 
 @dataclass(frozen=True)
@@ -111,22 +111,7 @@ def optimal_tunnel_rate(
     if best == 0 or best == grid_points - 1:
         raise ValueError("capacitance maximum lies on the search boundary; widen the range")
 
-    a, b = grid[best - 1], grid[best + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = value(c), value(d)
-    for _ in range(200):
-        if b - a <= 1e-12 * b:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
+    a, b = _golden_max(value, grid[best - 1], grid[best + 1], 200, lambda a, b: b - a <= 1e-12 * b)
     return 0.5 * (a + b)
 
 

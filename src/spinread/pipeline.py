@@ -33,6 +33,10 @@ class BundleManifest:
     corrected: bool = False
     version: int = FORMAT_VERSION
 
+    def __post_init__(self):
+        if self.version != FORMAT_VERSION:
+            raise ValueError(f"unsupported bundle format version {self.version!r}")
+
 
 class TraceBundle:
     """Persistent container for a batch of traces plus metadata."""
@@ -42,6 +46,8 @@ class TraceBundle:
         expected = (manifest.n_traces, manifest.background_samples + manifest.n_samples)
         if data.shape != expected:
             raise ValueError(f"data shape {data.shape} does not match manifest {expected}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("samples must be finite")
         if manifest.dt <= 0:
             raise ValueError("dt must be > 0")
         if manifest.labels is not None and len(manifest.labels) != manifest.n_traces:

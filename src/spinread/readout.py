@@ -10,13 +10,13 @@ recall).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
+from .fitting import _golden_max
 from .markov import (
     HmmParams,
     SpinState,
@@ -118,22 +118,12 @@ def optimal_threshold_empirical(
     run = max(runs, key=len)
     best = int(run[(len(run) - 1) // 2])
 
-    a = candidates[max(best - 1, 0)]
-    b = candidates[min(best + 1, grid - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _balanced_fidelity(odd, even, c, odd_low)[0]
-    fd = _balanced_fidelity(odd, even, d, odd_low)[0]
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _balanced_fidelity(odd, even, c, odd_low)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _balanced_fidelity(odd, even, d, odd_low)[0]
+    a, b = _golden_max(
+        lambda th: _balanced_fidelity(odd, even, th, odd_low)[0],
+        candidates[max(best - 1, 0)],
+        candidates[min(best + 1, grid - 1)],
+        80,
+    )
     refined = 0.5 * (a + b)
     f_refined = float(_balanced_fidelity(odd, even, refined, odd_low)[0])
     if f_refined >= f_max:
@@ -201,17 +191,29 @@ class MetricReport:
     confusion: ConfusionMatrix | None = None
 
 
-def _to_basis_labels(values, basis: ReadoutBasis) -> list[str]:
-    out = []
-    allowed = set(BASIS_LABELS[basis])
-    for v in values:
-        if isinstance(v, str):
-            if v not in allowed:
-                raise ValueError(f"label {v!r} not in basis {basis.value}")
-            out.append(v)
-        else:
-            out.append(map_basis(v, basis))
-    return out
+# spin code -> index into BASIS_LABELS[basis]
+_SPIN_TO_BASIS_CODE = {
+    basis: np.array([BASIS_LABELS[basis].index(map_basis(s, basis)) for s in SpinState])
+    for basis in ReadoutBasis
+}
+
+
+def _basis_codes(values, basis: ReadoutBasis) -> np.ndarray:
+    """Indices into ``BASIS_LABELS[basis]`` of spin labels or basis-label strings."""
+    values = np.asarray(values)
+    labels = BASIS_LABELS[basis]
+    if values.dtype.kind in "US":
+        codes = np.full(values.shape, -1)
+        for i, lab in enumerate(labels):
+            codes[values == lab] = i
+        if np.any(codes < 0):
+            raise ValueError(f"label {str(values[codes < 0][0])!r} not in basis {basis.value}")
+        return codes
+    spins = values.astype(int)
+    bad = (spins < 0) | (spins >= len(SpinState))
+    if np.any(bad):
+        SpinState(int(spins[bad][0]))  # raises the ValueError naming the label
+    return _SPIN_TO_BASIS_CODE[basis][spins]
 
 
 def confusion_metrics(truth, predicted, basis: ReadoutBasis, t_read: float | None = None) -> MetricReport:
@@ -221,16 +223,13 @@ def confusion_metrics(truth, predicted, basis: ReadoutBasis, t_read: float | Non
     total number of predictions; mean fidelity averages the per-state
     values; visibility is the overall fraction of correct classifications.
     """
-    truth = _to_basis_labels(truth, basis)
-    predicted = _to_basis_labels(predicted, basis)
-    if len(truth) != len(predicted) or len(truth) == 0:
+    truth = _basis_codes(truth, basis)
+    predicted = _basis_codes(predicted, basis)
+    if truth.shape != predicted.shape or truth.ndim != 1 or truth.size == 0:
         raise ValueError("truth and predicted must be equal-length and non-empty")
     labels = BASIS_LABELS[basis]
-    index = {lab: i for i, lab in enumerate(labels)}
     k = len(labels)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(truth, predicted):
-        counts[index[t], index[p]] += 1
+    counts = np.bincount(k * truth + predicted, minlength=k * k).reshape(k, k)
 
     n = len(truth)
     occurrences = counts.sum(axis=1)
@@ -275,7 +274,7 @@ def fidelity_sweep(
         if basis is ReadoutBasis.THREE_STATE:
             raise ValueError("the threshold method is binary; use parity or singlet_triplet")
         lab0, lab1 = BASIS_LABELS[basis]
-        truth = np.array(_to_basis_labels(truth_spin, basis))
+        truth = np.array(BASIS_LABELS[basis])[_basis_codes(truth_spin, basis)]
         cumsums = np.cumsum(batch.samples, axis=1)
         for t_read in t_read_list:
             n_win = _window_samples(batch.dt, batch.n_samples, t_read)

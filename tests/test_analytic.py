@@ -8,6 +8,7 @@ from scipy.stats import norm
 import spinread as sr
 from spinread.analytic import (
     DensityParams,
+    _class_cdfs,
     analytic_fidelity,
     combined_density,
     decay_tail,
@@ -40,6 +41,35 @@ def _tail_oracle(v, t, t1, p):
         0.0, 1.0, limit=200,
     )
     return k * val
+
+
+def _class_cdf_oracle(x, t, p, mode, basis):
+    """Low/high class CDFs at scalar x from the decay-time representation.
+
+    A triplet's window average is N(v_t, sigma) with weight e^-k, else
+    N(v_s + u dv, sigma) for a decay at fraction u of the window, with
+    density k e^-ku on [0, 1].
+    """
+    sig = sigma_of_t(p.sigma0, p.t0, t)
+    dv = p.v_t - p.v_s
+
+    def triplet(t1):
+        k = t / t1
+        step = (x - p.v_s) / dv
+        tail, _ = quad(
+            lambda u: k * math.exp(-k * u) * norm.cdf(x, p.v_s + u * dv, sig),
+            0.0, 1.0, points=[step] if 0.0 < step < 1.0 else None,
+            limit=200, epsabs=1e-15, epsrel=1e-13,
+        )
+        return math.exp(-k) * norm.cdf(x, p.v_t, sig) + tail
+
+    singlet = norm.cdf(x, p.v_s, sig)
+    if mode == "two_state":
+        return singlet, triplet(p.t1_tm)
+    if basis is ReadoutBasis.PARITY:
+        return 0.5 * (singlet + triplet(p.t1_t0)), triplet(p.t1_tm)
+    w = p.p_t0 + p.p_tm
+    return singlet, (p.p_t0 * triplet(p.t1_t0) + p.p_tm * triplet(p.t1_tm)) / w
 
 
 class TestSigmaOfT:
@@ -202,7 +232,90 @@ class TestCombinedDensity:
             combined_density(0.5, p.t0, p, "two_state")
 
 
+class TestClassCdfs:
+    CLASSES = (
+        ("two_state", ReadoutBasis.PARITY),
+        ("three_state", ReadoutBasis.PARITY),
+        ("three_state", ReadoutBasis.SINGLET_TRIPLET),
+    )
+
+    def test_match_decay_time_quadrature(self):
+        rng = np.random.default_rng(20)
+        t = 1e-4
+        k_max = 30.0
+        for i in range(200):
+            v_s = rng.uniform(-1.0, 1.0)
+            dv = rng.uniform(0.1, 1.0) * (1.0 if i % 2 == 0 else -1.0)
+            sigma = abs(dv) / rng.uniform(0.5, 20.0)
+            # log-uniform decay exponents k = t/T1, endpoints included
+            ks = 10.0 ** rng.uniform(-12.0, math.log10(k_max), 2)
+            if i % 50 == 0:
+                ks = np.array([1e-12, k_max] if i % 100 == 0 else [k_max, 1e-12])
+            mode, basis = self.CLASSES[i % 3]
+            fr = (0.5, 0.0, 0.5) if mode == "two_state" else tuple(rng.dirichlet([1, 1, 1]))
+            p = DensityParams(
+                v_s=v_s, v_t=v_s + dv, sigma0=sigma, t0=t, t1_t0=t / ks[0], t1_tm=t / ks[1],
+                p_s=fr[0], p_t0=fr[1], p_tm=1.0 - fr[0] - fr[1],
+            )
+            low, high, _ = _class_cdfs(p, t, mode, basis)
+            xs = rng.uniform(min(p.v_s, p.v_t) - 4 * sigma, max(p.v_s, p.v_t) + 4 * sigma, 3)
+            for x, c_low, c_high in zip(xs, low(xs), high(xs)):
+                ref_low, ref_high = _class_cdf_oracle(x, t, p, mode, basis)
+                assert abs(c_low - ref_low) <= 1e-12, (i, x)
+                assert abs(c_high - ref_high) <= 1e-12, (i, x)
+
+    def test_limits(self):
+        p = _params(v_s=1.0, v_t=0.0, snr=3.0, t1_t0=2e-4, fractions=(0.25, 0.25, 0.5))
+        for mode, basis in self.CLASSES:
+            for cdf in _class_cdfs(p, p.t0, mode, basis)[:2]:
+                assert abs(cdf(-40.0)) < 1e-15 and abs(cdf(40.0) - 1.0) < 1e-15
+
+
 class TestAnalyticFidelity:
+    # (mode, basis, parameters, t, F_m*, v_threshold) recorded from the
+    # quadrature implementation that preceded the closed-form CDFs
+    GOLDEN = [
+        ("two_state", ReadoutBasis.PARITY,
+         dict(v_s=0.0, v_t=1.0, sigma0=math.sqrt(3.3 / 340), t0=340e-6, t1_t0=170e-6,
+              t1_tm=290e-3, p_s=0.5, p_t0=0.0, p_tm=0.5),
+         340e-6, 0.9997533767490367, 0.39769570370473073),
+        ("two_state", ReadoutBasis.PARITY,
+         dict(v_s=1.0, v_t=0.2, sigma0=0.3, t0=1e-4, t1_t0=1e-4, t1_tm=2e-4,
+              p_s=0.5, p_t0=0.0, p_tm=0.5),
+         1e-4, 0.8232268555633788, 0.64810602799517),
+        ("three_state", ReadoutBasis.PARITY,
+         dict(v_s=0.0, v_t=1.0, sigma0=math.sqrt(3.3 / 204), t0=204e-6, t1_t0=170e-6,
+              t1_tm=290e-3, p_s=0.25, p_t0=0.25, p_tm=0.5),
+         204e-6, 0.8872292741625439, 0.7237047246464867),
+        ("three_state", ReadoutBasis.PARITY,
+         dict(v_s=0.5, v_t=-0.5, sigma0=0.2, t0=1e-4, t1_t0=5e-5, t1_tm=1e-3,
+              p_s=0.3, p_t0=0.3, p_tm=0.4),
+         2e-4, 0.9160855832490202, -0.09637720716145728),
+        ("three_state", ReadoutBasis.SINGLET_TRIPLET,
+         dict(v_s=0.0, v_t=1.0, sigma0=math.sqrt(3.3 / 204), t0=204e-6, t1_t0=170e-6,
+              t1_tm=290e-3, p_s=0.25, p_t0=0.25, p_tm=0.5),
+         204e-6, 0.9467129737729654, 0.27874580784661956),
+        ("three_state", ReadoutBasis.SINGLET_TRIPLET,
+         dict(v_s=2.0, v_t=1.0, sigma0=0.4, t0=1e-4, t1_t0=3e-4, t1_tm=2e-5,
+              p_s=0.4, p_t0=0.2, p_tm=0.4),
+         1e-4, 0.6652097541235878, 1.6616463425695214),
+    ]
+
+    @pytest.mark.parametrize("mode, basis, params, t, f_m, v_th", GOLDEN)
+    def test_golden_values(self, mode, basis, params, t, f_m, v_th):
+        p = DensityParams(**params)
+        rep = analytic_fidelity(p, t, mode, basis)
+        assert abs(rep.f_m_star - f_m) <= 1e-12
+        # the optimum is flat, so the threshold is only weakly determined
+        assert abs(rep.v_threshold - v_th) <= 1e-3 * sigma_of_t(p.sigma0, p.t0, t)
+
+    def test_extreme_snr_reaches_unity(self):
+        # SNR 1e9 without relaxation: the classes do not overlap at all
+        p = _params(v_s=1.0, v_t=2.0, snr=1e9, t1_tm=1e9)
+        rep = analytic_fidelity(p, p.t0, "two_state")
+        assert abs(rep.f_m_star - 1.0) < 1e-12
+        assert 1.0 < rep.v_threshold < 2.0
+
     def test_no_relaxation_equals_electrical(self):
         for snr in (2.0, 5.0, 9.0):
             p = _params(snr=snr, t1_tm=1e9, t1_t0=1e9)

@@ -106,6 +106,24 @@ class TestSimulate:
         assert code == 2
         assert "seed" in err
 
+
+def _nan_sample(prefix):
+    data = np.fromfile(prefix + ".f64", dtype="<f8")
+    data[5] = np.nan
+    data.tofile(prefix + ".f64")
+
+
+def _manifest_edit(**changes):
+    def edit(prefix):
+        path = prefix + ".manifest.json"
+        with open(path) as fh:
+            manifest = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump({**manifest, **changes}, fh)
+
+    return edit
+
+
 class TestClassifyAndSweep:
     @pytest.fixture()
     def bundle_path(self, tmp_path, capsys):
@@ -153,6 +171,22 @@ class TestClassifyAndSweep:
         code, _, err = _run(capsys, ["classify", "--config", config, "--out", str(tmp_path)])
         assert code == 3
         assert "missing input" in err
+
+    @pytest.mark.parametrize("corrupt", [
+        _nan_sample,
+        _manifest_edit(gain=2.0),
+        _manifest_edit(version=99),
+    ], ids=["nan_sample", "unknown_manifest_key", "manifest_version_99"])
+    def test_bad_bundle_is_config_error(self, tmp_path, capsys, bundle_path, corrupt):
+        corrupt(bundle_path)
+        config = _write_config(tmp_path, "cls.json", {
+            "input": bundle_path, "hmm": _hmm_dict(), "classifier": "hmm",
+            "basis": "parity", "t_read_s": 1e-4,
+        })
+        code, report, err = _run(capsys, ["classify", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert report is None
+        assert "invalid trace bundle" in err
 
     def test_vanishing_likelihood_exits_4_with_report(self, tmp_path, capsys, bundle_path):
         hmm = _hmm_dict(gamma_t0=0.0, gamma_tm=0.0, std=1e-3, spin=(1.0, 0.0, 0.0))
@@ -203,6 +237,20 @@ class TestFitCommands:
         payload = json.loads((tmp_path / "lzfit.json").read_text())
         assert payload["converged"]
         assert abs(payload["params"][0] - delta) < 1e-3 * delta
+
+    @pytest.mark.parametrize("bad_row", ["x,y", "1.0", "1.0,nan"])
+    def test_csv_bad_row_after_header_is_config_error(self, tmp_path, capsys, bad_row):
+        rows = [f"{float(x)!r},{float(x) ** 2!r}" for x in np.linspace(0.1, 1.0, 10)]
+        rows.insert(4, bad_row)
+        (tmp_path / "rows.csv").write_text("x,y\n" + "\n".join(rows) + "\n")
+        config = _write_config(tmp_path, "fit.json", {
+            "model": "thermometry", "input_csv": str(tmp_path / "rows.csv"),
+            "init": [0.3, 0.05], "output": "fit",
+        })
+        code, report, err = _run(capsys, ["fit-physics", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert report is None
+        assert "line 6" in err
 
     def test_fit_hmm_non_convergence_exit_code(self, tmp_path, capsys):
         sim = _write_config(tmp_path, "sim.json", {

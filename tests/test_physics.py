@@ -96,6 +96,16 @@ class TestOptimalTunnelRate:
         with pytest.raises(ValueError, match="boundary"):
             optimal_tunnel_rate(REF_ALPHA, REF_TE, REF_FRF, (5e9, 19e9))
 
+    @pytest.mark.parametrize("args, expected", [
+        ((REF_ALPHA, REF_TE, REF_FRF, (0.05e9, 19e9)), 1178129625.061335),
+        ((0.3, 0.2, 300e6, (0.05e9, 1e12)), 941611601.8508079),
+        ((0.05, 0.05, 1e9, (1e7, 1e11)), 1535305888.615048),
+    ])
+    def test_golden_values_bit_identical(self, args, expected):
+        # recorded from the hand-written golden-section loop that preceded
+        # the shared maximiser
+        assert optimal_tunnel_rate(*args) == expected
+
 
 class TestReflectometrySnr:
     def _resonator(self, beta=0.42, q_r=74.8):

@@ -222,6 +222,23 @@ class TestPersistence:
         with pytest.raises(ValueError):
             TraceBundle.load(prefix)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.zeros((3, 5))
+        samples[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sr.Trace(dt=1e-5, samples=samples[1])
+        with pytest.raises(ValueError, match="finite"):
+            TraceBatch(1e-5, samples)
+        with pytest.raises(ValueError, match="finite"):
+            TraceBatch(1e-5, np.zeros((3, 5)), backgrounds=samples)
+        with pytest.raises(ValueError, match="finite"):
+            TraceBundle(BundleManifest(dt=1e-5, n_traces=3, n_samples=5), samples)
+
+    def test_unsupported_format_version_rejected(self):
+        with pytest.raises(ValueError, match="version"):
+            BundleManifest(dt=1e-5, n_traces=3, n_samples=5, version=99)
+
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         target = str(tmp_path / "out.json")
 

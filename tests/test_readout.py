@@ -89,6 +89,23 @@ class TestOptimalThreshold:
         with pytest.raises(ValueError):
             optimal_threshold_empirical([], [1.0])
 
+    def test_golden_values_bit_identical(self):
+        # (threshold, F_m) recorded from the hand-written golden-section loop
+        # that preceded the shared maximiser
+        golden = [
+            (0.544126513843505, 0.9062857142857144),
+            (0.4038063711261929, 0.95),
+            (0.42870925420051187, 0.68875),
+            (1.0177104367013228, 1.0),
+        ]
+        rng = np.random.default_rng(5)
+        draws = [(500, 700, 0.0, 1.0, 0.4), (300, 300, 1.0, 0.0, 0.3),
+                 (50, 80, 0.0, 0.5, 0.5), (1000, 1000, 0.0, 2.0, 0.2)]
+        for (n0, n1, m0, m1, s), expected in zip(draws, golden):
+            odd = rng.normal(m0, s, n0)
+            even = rng.normal(m1, s, n1)
+            assert optimal_threshold_empirical(odd, even) == expected
+
 
 class TestMapBasis:
     def test_spec_examples(self):
@@ -142,6 +159,34 @@ class TestConfusionMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             confusion_metrics([0, 1], [0], ReadoutBasis.PARITY)
+
+    @pytest.mark.parametrize("basis, counts, f_m, v_m", [
+        (ReadoutBasis.THREE_STATE, [[5, 1, 1], [1, 4, 2], [2, 1, 7]],
+         0.8888888888888888, 0.6666666666666666),
+        (ReadoutBasis.PARITY, [[11, 3], [3, 7]], 0.875, 0.75),
+        (ReadoutBasis.SINGLET_TRIPLET, [[5, 2], [3, 14]], 0.8958333333333333, 0.7916666666666666),
+    ])
+    def test_golden_counts_from_spin_states_and_strings(self, basis, counts, f_m, v_m):
+        # recorded from the per-label counting loop that preceded bincount
+        truth = [0, 1, 2, 2, 0, 1, 1, 2, 0, 0, 2, 1, 2, 2, 0, 1, 0, 2, 1, 1, 2, 0, 2, 2]
+        pred = [0, 1, 2, 0, 0, 2, 1, 2, 1, 0, 2, 0, 2, 1, 2, 1, 0, 2, 1, 2, 2, 0, 0, 2]
+        as_states = [[sr.SpinState(v) for v in seq] for seq in (truth, pred)]
+        as_strings = [[map_basis(v, basis) for v in seq] for seq in (truth, pred)]
+        for t, p in (as_states, as_strings, [np.asarray(seq) for seq in as_strings],
+                     [np.asarray(seq, dtype=np.int8) for seq in (truth, pred)]):
+            rep = confusion_metrics(t, p, basis)
+            assert rep.confusion.counts.tolist() == counts
+            assert rep.f_m == f_m and rep.v_m == v_m
+            assert rep.labels == BASIS_LABELS[basis] and rep.n_traces == len(truth)
+
+    @pytest.mark.parametrize("truth, pred", [
+        (["odd", "even"], ["odd", "Tm"]),
+        ([0, 1], [0, 3]),
+        ([0, -1], [0, 1]),
+    ])
+    def test_label_outside_basis_rejected(self, truth, pred):
+        with pytest.raises(ValueError):
+            confusion_metrics(truth, pred, ReadoutBasis.PARITY)
 
 
 class TestHmmClassify:
