@@ -340,6 +340,7 @@ def _cmd_classify(config, seed, out_dir):
         "recall": rep.recall_per_state,
         "fidelity_per_state": rep.fidelity_per_state,
         "n": rep.n_traces,
+        "ties": rep.n_ties,
     }
     return results, [csv_path]
 
@@ -350,7 +351,11 @@ def _cmd_sweep(config, seed, out_dir):
     rows = _metric_rows(reports, classifier, basis)
     csv_path = os.path.join(out_dir, config["output"] + ".csv")
     _write_csv(csv_path, _SWEEP_HEADER, rows)
-    results = {"n_points": len(rows), "f_m": [r.f_m for r in reports]}
+    results = {
+        "n_points": len(rows),
+        "f_m": [r.f_m for r in reports],
+        "ties": [r.n_ties for r in reports],
+    }
     return results, [csv_path]
 
 

@@ -448,6 +448,15 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     )
 
 
+def _sample_matrix(samples) -> np.ndarray:
+    y = np.ascontiguousarray(np.asarray(samples, dtype=float))
+    if y.ndim != 2:
+        raise ValueError("samples must be 2-D")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("samples must be finite")
+    return y
+
+
 def start_posterior_batch(params: HmmParams, samples: np.ndarray):
     """Smoothed time-zero posterior for every row of ``samples``.
 
@@ -455,9 +464,7 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
     :func:`forward_backward` at step 0 but streams the backward pass, so
     only O(chunk * n_samples) memory is used.
     """
-    y = np.ascontiguousarray(np.asarray(samples, dtype=float))
-    if y.ndim != 2:
-        raise ValueError("samples must be 2-D")
+    y = _sample_matrix(samples)
     gamma0 = np.empty((y.shape[0], N_STATES))
     log_lik = np.empty(y.shape[0])
     for sl in _trace_chunks(*y.shape):
@@ -469,6 +476,54 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
         gamma0[sl] = (g0 / g0.sum(axis=0)).T
         log_lik[sl] = np.log(c).sum(axis=0) + shift
     return gamma0, log_lik
+
+
+def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> np.ndarray:
+    """Smoothed time-zero posterior of every row of ``samples`` at each window end.
+
+    Entry k of the (len(window_ends), n, 6) result is the posterior given
+    the first ``window_ends[k]`` samples, i.e. ``start_posterior_batch``
+    on ``samples[:, :window_ends[k]]``. Fixed-point smoothing (Cappé,
+    Moulines & Rydén 2005): one forward pass over the longest window
+    carries the joint forward variable J_t(s, s0), proportional to
+    P(s_t = s, s_0 = s0, y_0..t), whose sum over s is the time-zero
+    posterior of the window ending at t. Start states with pi = 0 stay
+    exactly zero and are not carried, so a pass costs about one forward
+    pass per start state with pi > 0.
+    """
+    y = _sample_matrix(samples)
+    ends = [int(e) for e in window_ends]
+    if not ends or min(ends) < 1 or max(ends) > y.shape[1]:
+        raise ValueError("window ends must be non-empty and within 1..n_samples")
+    live = np.flatnonzero(params.pi > 0.0)
+    m = live.size
+    read_at = {}
+    for k, e in enumerate(ends):
+        read_at.setdefault(e - 1, []).append(k)
+    t_len = max(ends)
+    a_t = params.a.T
+    out = np.zeros((len(ends), y.shape[0], N_STATES))
+    for sl in _trace_chunks(y.shape[0], t_len):
+        b, _ = _emission_likelihoods(y[sl, :t_len].T, params.emissions.means, params.emissions.stds)
+        n = b.shape[2]
+        # state-major (6, m, n): row s_t, then start state, then trace
+        joint = np.zeros((N_STATES, m, n))
+        joint[live, np.arange(m)] = params.pi[live, None] * b[0, live]
+        for t in range(t_len):
+            if t > 0:
+                # the per-trace normalisation of step t-1, over both s and
+                # s0, rides on step t's emission factor: one pass less
+                joint = (a_t @ joint.reshape(N_STATES, m * n)).reshape(N_STATES, m, n)
+                joint *= (b[t] / c)[:, None, :]
+            c = joint.reshape(N_STATES * m, n).sum(axis=0)
+            if np.any(c <= 0.0):
+                raise ZeroLikelihoodError(t)
+            if t in read_at:
+                g0 = joint.sum(axis=0)
+                g0 /= g0.sum(axis=0)
+                for k in read_at[t]:
+                    out[k, sl][:, live] = g0.T
+    return out
 
 
 def brute_force_posterior(params: HmmParams, trace: Trace) -> Posterior:

@@ -10,7 +10,7 @@ recall).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -24,6 +24,7 @@ from .markov import (
     TraceBatch,
     _window_samples,
     start_posterior_batch,
+    start_posteriors_at,
 )
 
 
@@ -160,6 +161,11 @@ def hmm_classify_batch(params: HmmParams, batch: TraceBatch, t_read: float | Non
 
 def _classify_windows(params: HmmParams, samples: np.ndarray):
     gamma0, _ = start_posterior_batch(params, samples)
+    return _spin_labels(gamma0)
+
+
+def _spin_labels(gamma0: np.ndarray):
+    """(labels, spin_posteriors, ties) from six-state time-zero posteriors."""
     spin_post = gamma0[:, 0:3] + gamma0[:, 3:6]
     labels = np.argmax(spin_post, axis=1).astype(np.int8)
     top = spin_post[np.arange(spin_post.shape[0]), labels]
@@ -189,6 +195,7 @@ class MetricReport:
     n_traces: int
     t_read: float | None = None
     confusion: ConfusionMatrix | None = None
+    n_ties: int | None = None
 
 
 # spin code -> index into BASIS_LABELS[basis]
@@ -261,10 +268,13 @@ def fidelity_sweep(
     classifier: str,
     basis: ReadoutBasis,
 ) -> list[MetricReport]:
-    """One MetricReport per readout time.
+    """One MetricReport per readout time, in the order of ``t_read_list``.
 
     The threshold classifier re-optimises its threshold at every t_read
-    from the labelled batch; the HMM classifier reuses ``params``.
+    from the labelled batch. The HMM classifier reuses ``params``: one
+    forward pass over the longest window gives the time-zero posterior
+    at every window end (:func:`start_posteriors_at`), and each report
+    carries the number of argmax ties in ``n_ties``.
     """
     if classifier not in ("threshold", "hmm"):
         raise ValueError("classifier must be 'threshold' or 'hmm'")
@@ -288,7 +298,19 @@ def fidelity_sweep(
             predicted = np.where(is_high, high_label, low_label)
             reports.append(confusion_metrics(truth, predicted, basis, t_read=t_read))
     else:
-        for t_read in t_read_list:
-            labels, _, _ = hmm_classify_batch(params, batch, t_read)
-            reports.append(confusion_metrics(truth_spin, labels, basis, t_read=t_read))
+        windows = [_window_samples(batch.dt, batch.n_samples, t) for t in t_read_list]
+        ends = sorted(set(windows))
+        if len(ends) > 1:
+            gamma0 = start_posteriors_at(params, batch.samples, ends)
+            classified = {n: _spin_labels(g) for n, g in zip(ends, gamma0)}
+        else:
+            # one window: forward-backward costs about two forward passes,
+            # the joint forward one per start state with pi > 0
+            classified = {
+                n: hmm_classify_batch(params, batch, t) for t, n in zip(t_read_list[:1], windows)
+            }
+        for t_read, n in zip(t_read_list, windows):
+            labels, _, ties = classified[n]
+            report = confusion_metrics(truth_spin, labels, basis, t_read=t_read)
+            reports.append(replace(report, n_ties=int(ties.sum())))
     return reports

@@ -163,6 +163,34 @@ class TestClassifyAndSweep:
         assert a == b
         assert len(a.decode().strip().splitlines()) == 4
 
+    def test_sweep_and_classify_report_ties(self, tmp_path, capsys, bundle_path):
+        # equal T0/Tm preparation and decay rates make every high trace a tie
+        hmm = _hmm_dict(gamma_t0=2e3, gamma_tm=2e3, spin=(0.2, 0.4, 0.4))
+        t_reads = [1e-4, 4e-5, 4e-4]
+        config = _write_config(tmp_path, "sweep.json", {
+            "input": bundle_path, "hmm": hmm, "classifier": "hmm",
+            "basis": "three_state", "t_read_s_list": t_reads, "output": "sweep",
+        })
+        code, report, _ = _run(capsys, ["sweep", "--config", config, "--out", str(tmp_path)])
+        assert code == 0
+        ties = report["results"]["ties"]
+        assert len(ties) == 3 and all(isinstance(n, int) and n > 0 for n in ties)
+        for t_read, n_ties in zip(t_reads, ties):
+            config = _write_config(tmp_path, "cls.json", {
+                "input": bundle_path, "hmm": hmm, "classifier": "hmm",
+                "basis": "three_state", "t_read_s": t_read, "output": "cls",
+            })
+            code, report, _ = _run(capsys, ["classify", "--config", config, "--out", str(tmp_path)])
+            assert code == 0
+            assert report["results"]["ties"] == n_ties
+        config = _write_config(tmp_path, "thr.json", {
+            "input": bundle_path, "hmm": hmm, "classifier": "threshold",
+            "basis": "parity", "t_read_s_list": t_reads, "output": "thr",
+        })
+        code, report, _ = _run(capsys, ["sweep", "--config", config, "--out", str(tmp_path)])
+        assert code == 0
+        assert report["results"]["ties"] == [None, None, None]
+
     def test_missing_input_exit_code(self, tmp_path, capsys):
         config = _write_config(tmp_path, "cls.json", {
             "input": str(tmp_path / "nope"), "hmm": _hmm_dict(), "classifier": "hmm",
@@ -198,6 +226,18 @@ class TestClassifyAndSweep:
         code, report, _ = _run(capsys, ["classify", "--config", config, "--out", str(tmp_path)])
         assert code == 4
         assert report["command"] == "classify"
+        assert "vanished" in report["error"]
+
+    def test_vanishing_likelihood_in_one_pass_sweep_exits_4(self, tmp_path, capsys, bundle_path):
+        hmm = _hmm_dict(gamma_t0=0.0, gamma_tm=0.0, std=1e-3, spin=(1.0, 0.0, 0.0))
+        hmm["emissions"]["means"] = [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        config = _write_config(tmp_path, "sweep.json", {
+            "input": bundle_path, "hmm": hmm, "classifier": "hmm",
+            "basis": "parity", "t_read_s_list": [1e-4, 2e-4], "output": "sweep",
+        })
+        code, report, _ = _run(capsys, ["sweep", "--config", config, "--out", str(tmp_path)])
+        assert code == 4
+        assert report["command"] == "sweep"
         assert "vanished" in report["error"]
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 import spinread as sr
+from spinread import markov
 from spinread.markov import (
     N_STATES,
     STRUCTURAL_MASK,
@@ -12,6 +13,7 @@ from spinread.markov import (
     build_generator,
     rates_from_transition_matrix,
     start_posterior_batch,
+    start_posteriors_at,
     transition_matrix,
 )
 
@@ -280,14 +282,102 @@ class TestForwardBackward:
     [
         lambda p, y: start_posterior_batch(p, y),
         lambda p, y: sr.em_fit(sr.TraceBatch(dt=1.0, samples=y), p),
+        lambda p, y: start_posteriors_at(p, y, [1, 3, 2]),
     ],
-    ids=["start_posterior_batch", "em_fit"],
+    ids=["start_posterior_batch", "em_fit", "start_posteriors_at"],
 )
 def test_zero_likelihood_step_reported_by_batch_paths(run):
     # the second trace's third sample is unreachable from the only live state
     with pytest.raises(ZeroLikelihoodError) as err:
         run(_unreachable_params(), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e6]]))
     assert err.value.step == 2
+
+
+class TestStartPosteriorsAt:
+    """Old-vs-new: one joint forward pass against the per-window
+    forward-backward of start_posterior_batch at every window end."""
+
+    def _per_window(self, params, samples, ends):
+        return np.array([start_posterior_batch(params, samples[:, :e])[0] for e in ends])
+
+    def test_random_params_with_switching(self):
+        rng = np.random.default_rng(60)
+        for _ in range(3):
+            params = _random_params(rng)
+            assert np.all(params.pi > 0) and params.rates.tlf_up > 0 and params.rates.tlf_down > 0
+            samples = rng.uniform(-1, 2, (40, 30))
+            ends = [1, 2, 7, 15, 29, 30]
+            np.testing.assert_allclose(
+                start_posteriors_at(params, samples, ends),
+                self._per_window(params, samples, ends),
+                rtol=1e-12, atol=0,
+            )
+
+    def _reference_point(self):
+        dt = 10e-6
+        params = sr.HmmParams.from_spin_model(
+            [0.25, 0.25, 0.5], sr.RateSet(1 / 170e-6, 1 / 290e-3), dt=dt,
+            std=math.sqrt(3.3e-6 / dt),
+        )
+        ends = [2, 3, 5, 8, 12, 17, 25, 34, 50, 85, 120, 170, 250, 330, 400]
+        return params, sr.simulate_batch(params, 300, 400, seed=61).samples, ends
+
+    def test_reference_point(self):
+        params, samples, ends = self._reference_point()
+        got = start_posteriors_at(params, samples, ends)
+        want = self._per_window(params, samples, ends)
+        # start states with pi = 0 are exactly zero on both paths; the
+        # atol covers only posteriors that pass through the subnormal
+        # range (below ~1e-290), where no relative precision is left
+        assert np.all(got[:, :, 3:] == 0.0) and np.all(want[:, :, 3:] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-290)
+        spin = lambda g: g[..., :3] + g[..., 3:]
+        np.testing.assert_array_equal(spin(got).argmax(axis=-1), spin(want).argmax(axis=-1))
+
+    def test_several_chunks(self, monkeypatch):
+        params, samples, ends = self._reference_point()
+        whole = start_posteriors_at(params, samples, ends)
+        # 100 traces per chunk at 400 samples: three chunks
+        monkeypatch.setattr(markov, "_CHUNK_ELEMENTS", 100 * N_STATES * 400)
+        assert len(list(markov._trace_chunks(*samples.shape))) == 3
+        chunked = start_posteriors_at(params, samples, ends)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-290)
+        np.testing.assert_allclose(
+            chunked, self._per_window(params, samples, ends), rtol=1e-12, atol=1e-290
+        )
+
+    def test_unsorted_and_duplicate_ends(self):
+        rng = np.random.default_rng(62)
+        params = _random_params(rng)
+        samples = rng.uniform(-1, 2, (10, 12))
+        ends = [9, 3, 12, 3, 1, 9]
+        got = start_posteriors_at(params, samples, ends)
+        assert got.shape == (6, 10, N_STATES)
+        np.testing.assert_allclose(got, self._per_window(params, samples, ends), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got[1], got[3])
+
+    @pytest.mark.parametrize("ends", [[], [0, 3], [4, 13]])
+    def test_window_ends_outside_trace_rejected(self, ends):
+        params = _random_params(np.random.default_rng(63))
+        with pytest.raises(ValueError):
+            start_posteriors_at(params, np.zeros((2, 12)), ends)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p, y: start_posterior_batch(p, y),
+        lambda p, y: start_posteriors_at(p, y, [5, 20]),
+    ],
+    ids=["start_posterior_batch", "start_posteriors_at"],
+)
+def test_non_finite_samples_rejected(run):
+    params = _random_params(np.random.default_rng(64))
+    for bad in (np.nan, np.inf):
+        samples = np.zeros((2, 20))
+        samples[1, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run(params, samples)
 
 
 class TestGoldenValues:

@@ -277,3 +277,83 @@ class TestFidelitySweep:
         batch = sr.TraceBatch(dt=1.0, samples=np.zeros((5, 4)))
         with pytest.raises(ValueError):
             fidelity_sweep(params, batch, [2.0], "hmm", ReadoutBasis.PARITY)
+
+
+class TestHmmSweepOnePass:
+    """The HMM sweep reads every window end off one joint forward pass;
+    each report must equal the per-window forward-backward classification."""
+
+    DT = 10e-6
+    # the benchmark's 15 readout times
+    T_READS = [20e-6, 30e-6, 50e-6, 80e-6, 120e-6, 170e-6, 250e-6, 340e-6,
+               500e-6, 850e-6, 1.2e-3, 1.7e-3, 2.5e-3, 3.3e-3, 4e-3]
+
+    def _reference_point(self, n_traces, seed):
+        params = sr.HmmParams.from_spin_model(
+            [0.25, 0.25, 0.5], sr.RateSet(1 / 170e-6, 1 / 290e-3), dt=self.DT,
+            std=math.sqrt(3.3e-6 / self.DT),
+        )
+        return params, sr.simulate_batch(params, n_traces, 400, seed=seed)
+
+    def _per_window(self, params, batch, t_reads, basis):
+        reports = []
+        for t in t_reads:
+            labels, _, ties = hmm_classify_batch(params, batch, t)
+            reports.append((confusion_metrics(batch.labels, labels, basis, t_read=t), int(ties.sum())))
+        return reports
+
+    @pytest.mark.parametrize("basis, counts", [
+        (ReadoutBasis.THREE_STATE, [
+            [112, 0, 19, 10, 0, 119, 16, 1, 223], [118, 2, 11, 10, 1, 118, 9, 2, 229],
+            [125, 3, 3, 14, 9, 106, 5, 8, 227], [126, 4, 1, 15, 30, 84, 3, 8, 229],
+            [127, 4, 0, 15, 52, 62, 0, 4, 236], [127, 4, 0, 15, 63, 51, 0, 1, 239],
+            [127, 4, 0, 15, 85, 29, 0, 1, 239], [127, 4, 0, 15, 102, 12, 0, 1, 239],
+            [127, 4, 0, 15, 110, 4, 0, 0, 240], [127, 4, 0, 15, 114, 0, 0, 0, 240],
+            [127, 4, 0, 15, 114, 0, 0, 0, 240], [127, 4, 0, 15, 114, 0, 0, 0, 240],
+            [127, 4, 0, 15, 114, 0, 0, 0, 240], [127, 4, 0, 15, 114, 0, 0, 0, 240],
+            [127, 4, 0, 15, 114, 0, 0, 0, 240],
+        ]),
+        (ReadoutBasis.PARITY, [
+            [122, 138, 17, 223], [131, 129, 11, 229], [151, 109, 13, 227], [175, 85, 11, 229],
+            [198, 62, 4, 236], [209, 51, 1, 239], [231, 29, 1, 239], [248, 12, 1, 239],
+            [256, 4, 0, 240], [260, 0, 0, 240], [260, 0, 0, 240], [260, 0, 0, 240],
+            [260, 0, 0, 240], [260, 0, 0, 240], [260, 0, 0, 240],
+        ]),
+    ])
+    def test_golden_counts(self, basis, counts):
+        # recorded from the per-window sweep that preceded the one-pass kernel
+        params, batch = self._reference_point(500, seed=4040)
+        reports = fidelity_sweep(params, batch, self.T_READS, "hmm", basis)
+        assert [rep.confusion.counts.ravel().tolist() for rep in reports] == counts
+
+    def test_unsorted_and_duplicate_readout_times_keep_input_order(self):
+        params, batch = self._reference_point(200, seed=70)
+        t_reads = [340e-6, 20e-6, 4e-3, 340e-6, 85e-6, 20e-6]
+        reports = fidelity_sweep(params, batch, t_reads, "hmm", ReadoutBasis.THREE_STATE)
+        expected = self._per_window(params, batch, t_reads, ReadoutBasis.THREE_STATE)
+        assert [rep.t_read for rep in reports] == t_reads
+        for rep, (want, ties) in zip(reports, expected):
+            assert rep.confusion.counts.tolist() == want.confusion.counts.tolist()
+            assert rep.f_m == want.f_m and rep.recall_per_state == want.recall_per_state
+            assert rep.n_ties == ties
+
+    def test_tie_counts_match_per_window(self):
+        # equal T0/Tm preparation and decay rates: a trace that stays high
+        # is exactly as likely to have started in T0 as in Tm
+        dt = 1e-5
+        params = sr.HmmParams.from_spin_model(
+            [0.2, 0.4, 0.4], sr.RateSet(2e3, 2e3), dt=dt, std=0.5
+        )
+        batch = sr.simulate_batch(params, 300, 60, seed=71)
+        t_reads = [5 * dt, 20 * dt, 60 * dt, 10 * dt]
+        reports = fidelity_sweep(params, batch, t_reads, "hmm", ReadoutBasis.THREE_STATE)
+        expected = self._per_window(params, batch, t_reads, ReadoutBasis.THREE_STATE)
+        assert [rep.n_ties for rep in reports] == [ties for _, ties in expected]
+        assert all(rep.n_ties > 0 for rep in reports)
+        for rep, (want, _) in zip(reports, expected):
+            assert rep.confusion.counts.tolist() == want.confusion.counts.tolist()
+
+    def test_threshold_reports_carry_no_ties(self):
+        params, batch = self._reference_point(100, seed=72)
+        reports = fidelity_sweep(params, batch, [50e-6, 340e-6], "threshold", ReadoutBasis.PARITY)
+        assert [rep.n_ties for rep in reports] == [None, None]
