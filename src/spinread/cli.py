@@ -377,6 +377,7 @@ def _cmd_fit_hmm(config, seed, out_dir):
         "converged": fit.converged,
         "n_iterations": fit.n_iterations,
         "log_likelihoods": [float(v) for v in fit.log_likelihoods],
+        "final_log_likelihood": fit.final_log_likelihood,
         "variance_floored": fit.variance_floored,
     }
     path = os.path.join(out_dir, config["output"] + ".json")

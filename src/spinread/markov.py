@@ -128,7 +128,8 @@ def build_generator(rates: RateSet) -> np.ndarray:
 
 
 def _reachability_mask(q: np.ndarray) -> np.ndarray:
-    """Boolean closure of the generator's sparsity pattern (incl. staying)."""
+    """Boolean closure of a generator's or a one-step matrix's sparsity
+    pattern (incl. staying)."""
     adj = (q != 0.0) | np.eye(q.shape[0], dtype=bool)
     reach = adj.copy()
     for _ in range(int(math.ceil(math.log2(q.shape[0]))) + 1):
@@ -377,21 +378,48 @@ def _trace_chunks(n_traces: int, n_samples: int):
         yield slice(start, min(start + step, n_traces))
 
 
-def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray):
-    """State-major emission likelihoods rescaled so the best state has 1.
+def _live_states(pi: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Indices of the hidden states reachable from supp(pi) through the
+    nonzero pattern of ``a``.
 
-    yt is (T, n), one trace per column; returns b of shape (T, 6, n) and
-    the per-trace sum over steps of the log-scale shift that was
-    subtracted, (n,), to be added back to log-likelihoods.
+    Every other state has forward mass exactly zero at every step, and so
+    zero posterior and zero EM statistics; the recursions carry only these.
     """
-    b = yt[:, None, :] - means[:, None]
-    b /= stds[:, None]
+    return np.flatnonzero(_reachability_mask(a)[pi > 0.0].any(axis=0))
+
+
+def _live_chain(pi: np.ndarray, a: np.ndarray):
+    """(live, pi, a) restricted to the live states of (pi, a)."""
+    live = _live_states(pi, a)
+    return live, pi[live], a[np.ix_(live, live)]
+
+
+def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, rows: np.ndarray):
+    """State-major emission likelihoods of the hidden states ``rows``,
+    rescaled so that the best of all six states has 1.
+
+    yt is (T, n), one trace per column. Each distinct (mean, std) pair is
+    evaluated once. Returns b of shape (T, len(rows), n) and the per-trace
+    sum over steps of the log-scale shift that was subtracted, (n,), to be
+    added back to log-likelihoods.
+    """
+    pair_index = {}
+    pair_of = np.array([
+        pair_index.setdefault(pair, len(pair_index))
+        for pair in zip(means.tolist(), stds.tolist())
+    ])
+    mu, sd = np.array(list(pair_index)).T
+    b = yt[:, None, :] - mu[:, None]
+    b /= sd[:, None]
     b *= b
     b *= -0.5
-    b -= (np.log(stds) + _LOG_SQRT_2PI)[:, None]
+    b -= (np.log(sd) + _LOG_SQRT_2PI)[:, None]
     shift = b.max(axis=1)
     b -= shift[:, None, :]
     np.exp(b, out=b)
+    pick = pair_of[rows]
+    if not np.array_equal(pick, np.arange(mu.size)):
+        b = b[:, pick]
     return b, shift.sum(axis=0)
 
 
@@ -399,15 +427,16 @@ def _forward(pi: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Scaled forward recursion (Rabiner 1989) over b from _emission_likelihoods.
 
     Yields, for t = 0 .. T-1, the normalised forward variable alpha_t
-    (6, n), a fresh array each step, and its scale c_t (n,). The
+    (k, n), a fresh array each step, and its scale c_t (n,). The
     log-likelihood is the sum of log c_t plus the emission shift.
     """
+    a_t = a.T
     alpha = pi[:, None] * b[0]
     for t in range(b.shape[0]):
         if t > 0:
-            alpha = (a.T @ alpha) * b[t]
+            alpha = (a_t @ alpha) * b[t]
         c = alpha.sum(axis=0)
-        if np.any(c <= 0.0):
+        if c.min() <= 0.0:
             raise ZeroLikelihoodError(t)
         alpha /= c
         yield alpha, c
@@ -417,13 +446,14 @@ def _backward(a: np.ndarray, b: np.ndarray, c):
     """Scaled backward recursion with the forward scales c_t, indexed by t.
 
     Yields (t, beta_t, w_t) for t = T-1 down to 0: the scaled backward
-    variable beta_t (6, n) and w_t = b_t beta_t / c_t, so that
+    variable beta_t (k, n) and w_t = b_t beta_t / c_t, so that
     beta_{t-1} = a @ w_t, the posterior is alpha_t beta_t and the expected
     transition counts from step t-1 are alpha_{t-1}(i) a(i, j) w_t(j).
     """
     beta = np.ones(b.shape[1:])
     for t in range(b.shape[0] - 1, -1, -1):
-        w = beta * b[t] / c[t]
+        w = beta * b[t]
+        w /= c[t]
         yield t, beta, w
         beta = a @ w
 
@@ -435,17 +465,17 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     log-likelihood is recovered from the scaling constants.
     """
     n_window = _window_samples(trace.dt, trace.samples.size, t_read)
+    live, pi, a = _live_chain(params.pi, params.a)
     b, shift = _emission_likelihoods(
-        trace.samples[:n_window, np.newaxis], params.emissions.means, params.emissions.stds
+        trace.samples[:n_window, np.newaxis], params.emissions.means, params.emissions.stds, live
     )
-    alphas, c = zip(*_forward(params.pi, params.a, b))
+    alphas, c = zip(*_forward(pi, a, b))
     gammas = np.array(alphas)
-    for t, beta, _ in _backward(params.a, b, c):
+    for t, beta, _ in _backward(a, b, c):
         gammas[t] *= beta
-    return Posterior(
-        probs=gammas[:, :, 0] / gammas.sum(axis=1),
-        log_likelihood=float(np.log(c).sum() + shift[0]),
-    )
+    probs = np.zeros((n_window, N_STATES))
+    probs[:, live] = gammas[:, :, 0] / gammas.sum(axis=1)
+    return Posterior(probs=probs, log_likelihood=float(np.log(c).sum() + shift[0]))
 
 
 def _sample_matrix(samples) -> np.ndarray:
@@ -465,15 +495,18 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
     only O(chunk * n_samples) memory is used.
     """
     y = _sample_matrix(samples)
-    gamma0 = np.empty((y.shape[0], N_STATES))
+    live, pi, a = _live_chain(params.pi, params.a)
+    gamma0 = np.zeros((y.shape[0], N_STATES))
     log_lik = np.empty(y.shape[0])
     for sl in _trace_chunks(*y.shape):
-        b, shift = _emission_likelihoods(y[sl].T, params.emissions.means, params.emissions.stds)
-        c = [c_t for _, c_t in _forward(params.pi, params.a, b)]
-        for _, beta, _ in _backward(params.a, b, c):
+        b, shift = _emission_likelihoods(
+            y[sl].T, params.emissions.means, params.emissions.stds, live
+        )
+        c = [c_t for _, c_t in _forward(pi, a, b)]
+        for _, beta, _ in _backward(a, b, c):
             pass
-        g0 = params.pi[:, None] * b[0] * beta
-        gamma0[sl] = (g0 / g0.sum(axis=0)).T
+        g0 = pi[:, None] * b[0] * beta
+        gamma0[sl, live] = (g0 / g0.sum(axis=0)).T
         log_lik[sl] = np.log(c).sum(axis=0) + shift
     return gamma0, log_lik
 
@@ -487,42 +520,46 @@ def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> 
     Moulines & Rydén 2005): one forward pass over the longest window
     carries the joint forward variable J_t(s, s0), proportional to
     P(s_t = s, s_0 = s0, y_0..t), whose sum over s is the time-zero
-    posterior of the window ending at t. Start states with pi = 0 stay
-    exactly zero and are not carried, so a pass costs about one forward
-    pass per start state with pi > 0.
+    posterior of the window ending at t. Only live states are carried
+    (:func:`_live_states`), and start states with pi = 0 stay exactly zero
+    and are not carried either, so a pass costs about one forward pass over
+    the live states per start state with pi > 0.
     """
     y = _sample_matrix(samples)
     ends = [int(e) for e in window_ends]
     if not ends or min(ends) < 1 or max(ends) > y.shape[1]:
         raise ValueError("window ends must be non-empty and within 1..n_samples")
-    live = np.flatnonzero(params.pi > 0.0)
-    m = live.size
+    live, pi, a = _live_chain(params.pi, params.a)
+    start = np.flatnonzero(pi > 0.0)
+    k_live, m = live.size, start.size
     read_at = {}
     for k, e in enumerate(ends):
         read_at.setdefault(e - 1, []).append(k)
     t_len = max(ends)
-    a_t = params.a.T
+    a_t = a.T
     out = np.zeros((len(ends), y.shape[0], N_STATES))
     for sl in _trace_chunks(y.shape[0], t_len):
-        b, _ = _emission_likelihoods(y[sl, :t_len].T, params.emissions.means, params.emissions.stds)
+        b, _ = _emission_likelihoods(
+            y[sl, :t_len].T, params.emissions.means, params.emissions.stds, live
+        )
         n = b.shape[2]
-        # state-major (6, m, n): row s_t, then start state, then trace
-        joint = np.zeros((N_STATES, m, n))
-        joint[live, np.arange(m)] = params.pi[live, None] * b[0, live]
+        # state-major (k_live, m, n): row s_t, then start state, then trace
+        joint = np.zeros((k_live, m, n))
+        joint[start, np.arange(m)] = pi[start, None] * b[0, start]
         for t in range(t_len):
             if t > 0:
                 # the per-trace normalisation of step t-1, over both s and
                 # s0, rides on step t's emission factor: one pass less
-                joint = (a_t @ joint.reshape(N_STATES, m * n)).reshape(N_STATES, m, n)
+                joint = (a_t @ joint.reshape(k_live, m * n)).reshape(k_live, m, n)
                 joint *= (b[t] / c)[:, None, :]
-            c = joint.reshape(N_STATES * m, n).sum(axis=0)
-            if np.any(c <= 0.0):
+            c = joint.reshape(k_live * m, n).sum(axis=0)
+            if c.min() <= 0.0:
                 raise ZeroLikelihoodError(t)
             if t in read_at:
                 g0 = joint.sum(axis=0)
                 g0 /= g0.sum(axis=0)
                 for k in read_at[t]:
-                    out[k, sl][:, live] = g0.T
+                    out[k, sl][:, live[start]] = g0.T
     return out
 
 
@@ -574,12 +611,13 @@ def log_likelihood(params: HmmParams, batch: TraceBatch) -> float:
     """Sum of per-trace forward log-likelihoods over the whole batch."""
     if batch.n_traces == 0:
         raise ValueError("batch must be non-empty")
+    live, pi, a = _live_chain(params.pi, params.a)
     total = 0.0
     for sl in _trace_chunks(batch.n_traces, batch.n_samples):
         b, shift = _emission_likelihoods(
-            batch.samples[sl].T, params.emissions.means, params.emissions.stds
+            batch.samples[sl].T, params.emissions.means, params.emissions.stds, live
         )
-        c = [c_t for _, c_t in _forward(params.pi, params.a, b)]
+        c = [c_t for _, c_t in _forward(pi, a, b)]
         total += float(np.log(c).sum() + shift.sum())
     return total
 
@@ -650,6 +688,9 @@ class EmFitResult:
     converged: bool
     n_iterations: int
     variance_floored: bool = False
+    # log-likelihood of ``params`` itself; None if every state's
+    # likelihood vanishes somewhere under them
+    final_log_likelihood: float | None = None
 
 
 def em_fit(
@@ -672,7 +713,8 @@ def em_fit(
 
     The returned parameters carry rates re-derived from the fitted
     one-step decay probabilities, with the transition matrix rebuilt from
-    those rates so it stays consistent with them.
+    those rates so it stays consistent with them; one more forward pass
+    gives their log-likelihood, ``final_log_likelihood``.
     """
     if batch.n_traces == 0:
         raise ValueError("batch must be non-empty")
@@ -692,30 +734,41 @@ def em_fit(
 
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        pi_acc = np.zeros(N_STATES)
-        xi_acc = np.zeros((N_STATES, N_STATES))
-        w_acc = np.zeros(N_STATES)
-        m1_acc = np.zeros(N_STATES)
-        m2_acc = np.zeros(N_STATES)
+        live, pi_live, a_live = _live_chain(pi, a)
+        k = live.size
+        pi_sum = np.zeros(k)
+        xi_sum = np.zeros((k, k))
+        # columns: sum of gamma, of gamma * y and of gamma * y^2
+        moments = np.zeros((k, 3))
         ll_total = 0.0
 
         for sl in _trace_chunks(n, t_len):
             yt = y[sl].T
-            b, shift = _emission_likelihoods(yt, means, stds)
-            alphas, c = zip(*_forward(pi, a, b))
+            b, shift = _emission_likelihoods(yt, means, stds, live)
+            alphas, c = zip(*_forward(pi_live, a_live, b))
             ll_total += float(np.log(c).sum() + shift.sum())
 
-            for t, beta, w in _backward(a, b, c):
+            powers = np.stack([np.ones_like(yt), yt, yt * yt], axis=-1)
+            step_moments = np.empty((t_len, k, 3))
+            step_xi = np.empty((t_len, k, k))
+            for t, beta, w in _backward(a_live, b, c):
                 gamma = alphas[t] * beta
-                w_acc += gamma.sum(axis=1)
-                m1_acc += gamma @ yt[t]
-                m2_acc += gamma @ (yt[t] ** 2)
+                np.matmul(gamma, powers[t], out=step_moments[t])
                 if t > 0:
-                    xi_acc += alphas[t - 1] @ w.T
-            pi_acc += gamma.sum(axis=1)  # the backward pass ends at t = 0
-        # xi entries lack the factor a(i, j) of each expected transition;
-        # apply it once here instead of per step
-        xi_acc *= a
+                    np.matmul(alphas[t - 1], w.T, out=step_xi[t])
+            pi_sum += gamma.sum(axis=1)  # the backward pass ends at t = 0
+            moments += step_moments.sum(axis=0)
+            xi_sum += step_xi[1:].sum(axis=0)
+
+        # back to all six states; the others have no mass. xi entries lack
+        # the factor a(i, j) of each expected transition; apply it once
+        # here instead of per step
+        pi_acc = np.zeros(N_STATES)
+        pi_acc[live] = pi_sum
+        xi_acc = np.zeros((N_STATES, N_STATES))
+        xi_acc[np.ix_(live, live)] = xi_sum * a_live
+        w_acc, m1_acc, m2_acc = np.zeros((3, N_STATES))
+        w_acc[live], m1_acc[live], m2_acc[live] = moments.T
 
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
@@ -764,10 +817,15 @@ def em_fit(
     params = HmmParams(
         pi=pi, rates=fitted_rates, dt=dt, emissions=EmissionModel(means=means, stds=stds)
     )
+    try:
+        final_ll = log_likelihood(params, batch)
+    except ZeroLikelihoodError:
+        final_ll = None
     return EmFitResult(
         params=params,
         log_likelihoods=np.asarray(lls),
         converged=converged,
         n_iterations=n_iter,
         variance_floored=floored,
+        final_log_likelihood=final_ll,
     )

@@ -7,6 +7,7 @@ import pytest
 
 from spinread.cli import main
 from spinread.constants import E_CHARGE, HBAR
+from spinread.markov import HmmParams, log_likelihood
 from spinread.pipeline import TraceBundle
 
 
@@ -305,6 +306,21 @@ class TestFitCommands:
         assert code == 4
         assert os.path.exists(tmp_path / "fitted.json")  # partial report written
         assert report["results"]["converged"] is False
+
+    def test_fit_hmm_reports_final_log_likelihood(self, tmp_path, capsys):
+        sim = _write_config(tmp_path, "sim.json", {
+            "hmm": _hmm_dict(), "n_traces": 50, "n_samples": 15, "output": "sim",
+        })
+        _run(capsys, ["simulate", "--config", sim, "--seed", "3", "--out", str(tmp_path)])
+        fit = _write_config(tmp_path, "fit.json", {
+            "input": str(tmp_path / "sim"), "init": _hmm_dict(), "output": "fitted",
+        })
+        code, _, _ = _run(capsys, ["fit-hmm", "--config", fit, "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "fitted.json").read_text())
+        params = HmmParams.from_dict(payload["hmm"])
+        batch = TraceBundle.load(str(tmp_path / "sim")).to_batch()
+        assert payload["final_log_likelihood"] == log_likelihood(params, batch)
 
     def test_fit_histogram_command(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

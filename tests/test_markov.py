@@ -448,6 +448,199 @@ class TestGoldenValues:
         )
 
 
+def _reference_params(dt=10e-6):
+    """The paper's reference point: T1 = 170 us / 290 ms, preparation
+    0.25/0.25/0.5, no fluctuator switching, white noise for 3.3 us."""
+    return sr.HmmParams.from_spin_model(
+        [0.25, 0.25, 0.5], sr.RateSet(1 / 170e-6, 1 / 290e-3), dt=dt,
+        std=math.sqrt(3.3e-6 / dt),
+    )
+
+
+class TestReferencePointGolden:
+    """Old-vs-new at the reference point, where only (S,G), (T0,G) and
+    (Tm,G) are live: outputs recorded from the implementation that carried
+    all six hidden states through every recursion."""
+
+    rtol = dict(rtol=1e-12, atol=0)
+
+    def test_forward_backward(self):
+        params = _reference_params()
+        post = sr.forward_backward(params, sr.simulate_batch(params, 1, 60, seed=70)[0])
+        assert np.all(post.probs[:, 3:] == 0.0)
+        np.testing.assert_allclose(post.probs[[0, 5, 30, 59], :3], [
+            [1.6379810564005934e-05, 0.9983489615544039, 0.0016346586350320738],
+            [0.13203074103207993, 0.8665346575960148, 0.00143460137190523],
+            [1.0, 1.0643315184082118e-18, 7.721071254079636e-21],
+            [1.0, 3.4483050836763874e-35, 2.2131427791119143e-33],
+        ], **self.rtol)
+        np.testing.assert_allclose(post.log_likelihood, -53.291863441248296, **self.rtol)
+
+    def test_start_posterior_batch(self):
+        params = _reference_params()
+        samples = sr.simulate_batch(params, 4, 120, seed=71).samples
+        gamma0, ll = start_posterior_batch(params, samples)
+        assert np.all(gamma0[:, 3:] == 0.0)
+        np.testing.assert_allclose(gamma0[:, :3], [
+            [4.175086638058016e-06, 0.9984289916727421, 0.0015668332406198603],
+            [8.123128864808096e-87, 0.0006764112736634569, 0.9993235887263365],
+            [2.7847044489611747e-94, 0.0004581386733406388, 0.9995418613266593],
+            [1.0132539955838099e-31, 0.9899818167737295, 0.010018183226270384],
+        ], **self.rtol)
+        np.testing.assert_allclose(
+            ll, [-98.1071370628917, -106.60933582351015, -97.85813418008972, -109.281945845651],
+            **self.rtol,
+        )
+
+    def test_start_posteriors_at_fifteen_windows(self):
+        params = _reference_params()
+        ends = [2, 3, 5, 8, 12, 17, 25, 34, 50, 85, 120, 170, 250, 330, 400]
+        got = start_posteriors_at(params, sr.simulate_batch(params, 1, 400, seed=72).samples, ends)
+        assert np.all(got[:, :, 3:] == 0.0)
+        # posteriors that pass through the subnormal range keep no
+        # relative precision, as in TestStartPosteriorsAt
+        np.testing.assert_allclose(got[:, 0, :3], [
+            [0.08306183997649366, 0.2987479911003053, 0.6181901689232011],
+            [0.008184224026396975, 0.3068503653768973, 0.6849654105967057],
+            [0.001654188495434922, 0.29012105502221885, 0.7082247564823462],
+            [0.04106360407027632, 0.7370244938311292, 0.2219119020985943],
+            [1.2099571148592314e-05, 0.21035051821765827, 0.7896373822111931],
+            [1.2329703106260106e-08, 0.16547239285963877, 0.8345275948106582],
+            [5.751784600377082e-13, 0.11131126375339835, 0.8886887362460265],
+            [3.609200436948414e-20, 0.06746372944068803, 0.932536270559312],
+            [1.5072382856969233e-25, 0.02953358579813786, 0.9704664142018621],
+            [3.884501175723734e-55, 0.003572326122176926, 0.996427673877823],
+            [9.866525334926982e-75, 0.00045906229015252087, 0.9995409377098474],
+            [2.9268890344243057e-102, 2.4338821547561364e-05, 0.9999756611784524],
+            [1.3015556201048074e-162, 2.2217896563710547e-07, 0.9999997778210344],
+            [4.71263391766497e-211, 1.994184338907065e-09, 0.9999999980058156],
+            [3.194193157282177e-258, 3.363660573731736e-11, 0.9999999999663634],
+        ], rtol=1e-12, atol=1e-290)
+
+    def test_log_likelihood(self):
+        params = _reference_params()
+        ll = sr.log_likelihood(params, sr.simulate_batch(params, 50, 200, seed=73))
+        np.testing.assert_allclose(ll, -8587.110907745162, **self.rtol)
+
+    def test_em_fit_three_iterations(self):
+        truth = _reference_params()
+        init = sr.HmmParams.from_spin_model(
+            [1 / 3, 1 / 3, 1 / 3], sr.RateSet(1.5 / 170e-6, 0.5 / 290e-3), dt=truth.dt,
+            std=0.7, v_singlet=-0.05, v_triplet=1.05,
+        )
+        fit = sr.em_fit(sr.simulate_batch(truth, 100, 300, seed=74), init, max_iter=3)
+        p = fit.params
+        assert fit.n_iterations == 3 and not fit.converged
+        np.testing.assert_allclose(
+            fit.log_likelihoods, [-27178.658673540285, -26032.67148425363, -26032.456878362485],
+            **self.rtol,
+        )
+        np.testing.assert_allclose(p.pi, [
+            0.2503329072134187, 0.12419602617183627, 0.6254710666147449, 0.0, 0.0, 0.0,
+        ], **self.rtol)
+        v_singlet, v_triplet = 0.0011791021621719068, 1.0003716179237694
+        np.testing.assert_allclose(
+            p.emissions.means, [v_singlet, v_triplet, v_triplet, v_triplet, v_singlet, v_singlet],
+            **self.rtol,
+        )
+        np.testing.assert_allclose(p.emissions.stds, np.full(6, 0.5735773356634898), **self.rtol)
+        np.testing.assert_allclose(
+            [p.rates.gamma_t0, p.rates.gamma_tm], [5480.628134233876, 13.97405082637858],
+            **self.rtol,
+        )
+        assert p.rates.tlf_up == 0.0 and p.rates.tlf_down == 0.0
+
+
+class TestLiveStates:
+    def test_singlet_only_without_rates(self):
+        pi = np.array([1.0, 0, 0, 0, 0, 0])
+        a = transition_matrix(build_generator(sr.RateSet(0, 0)), 1.0)
+        np.testing.assert_array_equal(markov._live_states(pi, a), [0])
+
+    def test_reference_point(self):
+        params = _reference_params()
+        np.testing.assert_array_equal(markov._live_states(params.pi, params.a), [0, 1, 2])
+
+    def test_switching_makes_all_live(self):
+        params = sr.HmmParams.from_spin_model(
+            [0.25, 0.25, 0.5], sr.RateSet(1 / 170e-6, 1 / 290e-3, tlf_up=40.0), dt=10e-6
+        )
+        assert np.all(params.pi[3:] == 0.0)
+        np.testing.assert_array_equal(markov._live_states(params.pi, params.a), np.arange(6))
+        # six live rows, three start states: the one-pass sweep still
+        # matches forward-backward per window
+        samples = sr.simulate_batch(params, 20, 30, seed=67).samples
+        ends = [1, 4, 17, 30]
+        np.testing.assert_allclose(
+            start_posteriors_at(params, samples, ends),
+            [start_posterior_batch(params, samples[:, :e])[0] for e in ends],
+            rtol=1e-12, atol=1e-290,
+        )
+
+    def test_non_live_states_carry_no_mass(self):
+        # (T0,G) decays into (S,G) but is never prepared: reachable only
+        # from itself, so it is not live while (S,G) and (Tm,G) are
+        params = sr.HmmParams.from_spin_model([0.5, 0.0, 0.5], sr.RateSet(1e3, 1e2), dt=1e-4)
+        live = markov._live_states(params.pi, params.a)
+        np.testing.assert_array_equal(live, [0, 2])
+        gamma0, _ = start_posterior_batch(params, np.random.default_rng(65).uniform(-1, 2, (5, 9)))
+        assert np.all(gamma0[:, [1, 3, 4, 5]] == 0.0)
+
+
+def _per_state_emissions(yt, means, stds):
+    """The emission builder as it was: one Gaussian per hidden state."""
+    b = yt[:, None, :] - means[:, None]
+    b /= stds[:, None]
+    b *= b
+    b *= -0.5
+    b -= (np.log(stds) + markov._LOG_SQRT_2PI)[:, None]
+    shift = b.max(axis=1)
+    b -= shift[:, None, :]
+    np.exp(b, out=b)
+    return b, shift.sum(axis=0)
+
+
+class TestEmissionLikelihoods:
+    @pytest.mark.parametrize("means, stds", [
+        ([0.0, 1.0, 1.0, 1.0, 0.0, 0.0], [0.4] * 6),
+        ([0.0, 1.0, 1.0, 1.0, 0.0, 0.0], [0.4, 0.5, 0.5, 0.6, 0.4, 0.4]),
+        ([0.0, 1.0, 1.1, 1.0, 0.0, -0.2], [0.4] * 6),
+        ([-0.3, 1.2, 0.9, 1.05, 0.1, 0.02], [0.3, 0.45, 0.5, 0.6, 0.35, 0.25]),
+    ], ids=["tied", "partly_tied_stds", "partly_tied_means", "untied"])
+    @pytest.mark.parametrize("rows", [[0, 1, 2], [0], [0, 2], list(range(6)), [1, 3, 4, 5]])
+    def test_bit_identical_to_per_state_formula(self, means, stds, rows):
+        means, stds, rows = np.array(means), np.array(stds), np.array(rows)
+        yt = np.random.default_rng(66).uniform(-1.5, 2.5, (40, 7))
+        b, shift = markov._emission_likelihoods(yt, means, stds, rows)
+        b_ref, shift_ref = _per_state_emissions(yt, means, stds)
+        assert b.shape == (40, rows.size, 7)
+        np.testing.assert_array_equal(b, b_ref[:, rows])
+        np.testing.assert_array_equal(shift, shift_ref)
+
+    def test_non_live_state_with_largest_emission(self):
+        # only (S,G) is live; the other states sit on the samples and so
+        # hold the largest emission, which sets the rescaling shift
+        y = np.array([[0.5, 0.4, 0.6, 0.5]])
+        params = sr.HmmParams(
+            pi=np.array([1.0, 0, 0, 0, 0, 0]), rates=sr.RateSet(0, 0), dt=1.0,
+            emissions=sr.EmissionModel(
+                means=np.array([0.0, 0.5, 0.5, 0.5, 0.5, 40.5]),
+                stds=np.array([1.0, 0.1, 0.1, 0.1, 0.1, 1.0]),
+            ),
+        )
+        expected = float(np.sum(-0.5 * y**2 - 0.5 * math.log(2 * math.pi)))
+        ll = sr.log_likelihood(params, sr.TraceBatch(dt=1.0, samples=y))
+        assert abs(ll - expected) < 1e-12 * abs(expected)
+        _, ll_batch = start_posterior_batch(params, y)
+        assert abs(ll_batch[0] - expected) < 1e-12 * abs(expected)
+        # the shift is still taken over all six states: the live state's
+        # likelihood 800 log units below the best one underflows and
+        # vanishes at that step, as it did when every state was carried
+        with pytest.raises(ZeroLikelihoodError) as err:
+            start_posterior_batch(params, np.array([[0.5, 0.5, 40.5, 0.5]]))
+        assert err.value.step == 2
+
+
 class TestLogLikelihood:
     def test_single_sample_mixture_density(self):
         rng = np.random.default_rng(11)
@@ -534,6 +727,57 @@ class TestEmFit:
         fit = sr.em_fit(batch, tlf_init, freeze_tlf_rates=True, max_iter=3)
         assert fit.params.rates.tlf_up == 17.0
         assert fit.params.rates.tlf_down == 23.0
+
+
+class TestFinalLogLikelihood:
+    """em_fit scores the parameters it returns. They differ from the last
+    E-step's inputs: rates are re-derived from the expected counts and the
+    transition matrix is rebuilt from them (and, before convergence, pi and
+    the emissions come from one more M-step)."""
+
+    def test_reference_point_gap(self):
+        truth = _reference_params()
+        init = sr.HmmParams.from_spin_model(
+            [1 / 3, 1 / 3, 1 / 3], sr.RateSet(1.5 / 170e-6, 0.5 / 290e-3), dt=truth.dt,
+            std=0.7, v_singlet=-0.05, v_triplet=1.05,
+        )
+        batch = sr.simulate_batch(truth, 100, 300, seed=74)
+        fit = sr.em_fit(batch, init)
+        assert fit.converged and fit.n_iterations == 5
+        assert fit.final_log_likelihood == sr.log_likelihood(fit.params, batch)
+        # without switching the rebuilt matrix is the fitted one: the
+        # returned parameters score at least as well as the last E-step
+        gap = fit.final_log_likelihood - fit.log_likelihoods[-1]
+        assert 0.0 <= gap < 1e-4
+
+    def test_switching_gap_is_negative(self):
+        truth = sr.HmmParams.from_spin_model(
+            [0.3, 0.3, 0.4], sr.RateSet(1e4, 1e3, 40.0, 80.0), dt=1e-5, std=0.35,
+            tlf_excited_prob=0.2,
+        )
+        init = sr.HmmParams.from_spin_model(
+            [1 / 3, 1 / 3, 1 / 3], sr.RateSet(2e4, 3e3, 100.0, 100.0), dt=1e-5, std=0.5,
+            v_singlet=-0.1, v_triplet=1.2, tlf_excited_prob=0.1,
+        )
+        fit = sr.em_fit(sr.simulate_batch(truth, 40, 25, seed=41), init)
+        assert fit.converged and fit.n_iterations == 48
+        # the rates pool the decay counts of both fluctuator branches and
+        # invert the switching to first order, so the matrix rebuilt from
+        # them is not the fitted one: the returned parameters score 1.2
+        # nats below the converged value (a known defect, pinned here)
+        gap = fit.final_log_likelihood - fit.log_likelihoods[-1]
+        np.testing.assert_allclose(gap, -1.195093400908661, rtol=1e-6)
+
+    def test_vanishing_likelihood_gives_none(self, monkeypatch):
+        def vanish(params, batch):
+            raise ZeroLikelihoodError(0)
+
+        truth = _reference_params()
+        batch = sr.simulate_batch(truth, 5, 20, seed=75)
+        monkeypatch.setattr(markov, "log_likelihood", vanish)
+        fit = sr.em_fit(batch, truth, max_iter=2)
+        assert fit.final_log_likelihood is None
+        assert len(fit.log_likelihoods) == 2
 
 
 class TestSerialization:
