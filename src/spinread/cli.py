@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .analytic import DensityParams, combined_density, fit_histogram
 from .fitting import fit_model, get_model
-from .markov import HmmParams, ZeroLikelihoodError, simulate_batch, em_fit
+from .markov import HmmParams, SpinState, ZeroLikelihoodError, simulate_batch, em_fit
 from .physics import SensorParams, delta_c_drt
 from .pipeline import (
     IqBatch,
@@ -33,7 +33,7 @@ from .pipeline import (
     noise_scaling,
     with_linear_drift,
 )
-from .readout import ReadoutBasis, fidelity_sweep, window_average_batch
+from .readout import ReadoutBasis, fidelity_sweep, map_basis, window_average_batch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -253,15 +253,9 @@ def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
 def _metric_rows(reports, classifier: str, basis: ReadoutBasis) -> list[list]:
     rows = []
     for rep in reports:
-        rec = rep.recall_per_state
-        if basis is ReadoutBasis.THREE_STATE:
-            r_s, r_t0, r_tm = rec["S"], rec["T0"], rec["Tm"]
-        elif basis is ReadoutBasis.PARITY:
-            r_s, r_t0, r_tm = rec["odd"], rec["odd"], rec["even"]
-        else:
-            r_s, r_t0, r_tm = rec["singlet"], rec["triplet"], rec["triplet"]
+        recalls = [rep.recall_per_state[map_basis(s, basis)] for s in SpinState]
         rows.append(
-            [rep.t_read, classifier, basis.value, rep.f_m, rep.v_m, r_s, r_t0, r_tm, rep.n_traces]
+            [rep.t_read, classifier, basis.value, rep.f_m, rep.v_m, *recalls, rep.n_traces]
         )
     return rows
 
@@ -316,8 +310,6 @@ def _sweep_common(config, t_read_values):
     params = _hmm_from_config(config["hmm"])
     basis = _basis_from_config(config["basis"])
     classifier = config["classifier"]
-    if classifier not in ("threshold", "hmm"):
-        raise ConfigError("classifier must be 'threshold' or 'hmm'")
     batch = bundle.to_batch()
     if batch.labels is None:
         raise ConfigError("input bundle carries no ground-truth labels")

@@ -37,20 +37,6 @@ class TlfState(IntEnum):
     EXCITED = 1
 
 
-@dataclass(frozen=True)
-class HiddenState:
-    spin: SpinState
-    tlf: TlfState
-
-    @property
-    def index(self) -> int:
-        return int(self.spin) + 3 * int(self.tlf)
-
-
-HIDDEN_STATES = tuple(
-    HiddenState(SpinState(s), TlfState(x)) for x in range(2) for s in range(3)
-)
-
 # hidden states whose emitted signal corresponds to the singlet (0,2)
 # charge configuration; the complement emits the blocked (1,1) signal
 SINGLET_SIGNAL_STATES = (0, 4, 5)
@@ -633,51 +619,45 @@ def _window_samples(dt: float, n_available: int, t_read: float | None) -> int:
     return n
 
 
-def rates_from_transition_matrix(a: np.ndarray, dt: float) -> RateSet:
-    """Invert one-step flip probabilities into rates via -ln(1-p)/dt.
+def _rates_from_counts(xi: np.ndarray, dt: float, rates: RateSet, freeze_tlf_rates: bool) -> RateSet:
+    """The rates that maximise sum_ij xi_ij log A(rates)_ij, the M-step.
 
-    Exact for the irreversible spin decays; first order in dt for the
-    fluctuator switching, whose occupation saturates over a step.
+    The generator is a Kronecker sum, so A = F (x) S with F the fluctuator
+    chain and S the spin chain, and the sum splits into a spin term over
+    the spin-marginal counts and a fluctuator term over the
+    fluctuator-marginal counts. Each is maximised in closed form: a spin
+    decay by its flip fraction, inverted via -ln(1-p)/dt; the fluctuator by
+    its two flip fractions u, d, which F reaches at total rate
+    -ln(1-u-d)/dt split in the ratio u : d. A row with no occupancy keeps
+    the current iterate's one-step probability, and ``freeze_tlf_rates``
+    keeps the current fluctuator rates.
     """
-    a = np.asarray(a, dtype=float)
+    counts = xi.reshape(2, 3, 2, 3)
+    n_spin = counts.sum(axis=(0, 2))
+    n_tlf = counts.sum(axis=(1, 3))
 
-    def rate(p):
-        p = min(max(p, 0.0), 1.0 - 1e-15)
-        return -math.log1p(-p) / dt
+    def fraction(n, i, j):
+        occupancy = n[i].sum()
+        return float(n[i, j] / occupancy) if occupancy > 1e-300 else None
 
-    p_t0 = 0.5 * ((a[1, 0] + a[1, 3]) + (a[4, 0] + a[4, 3]))
-    p_tm = 0.5 * ((a[2, 0] + a[2, 3]) + (a[5, 0] + a[5, 3]))
-    p_up = a[0:3, 3:6].sum() / 3.0
-    p_down = a[3:6, 0:3].sum() / 3.0
+    def decay(i, gamma):
+        p = fraction(n_spin, i, 0)
+        return gamma if p is None else -math.log1p(-min(p, 1.0 - 1e-15)) / dt
+
+    up, down = rates.tlf_up, rates.tlf_down
+    if not freeze_tlf_rates:
+        total = up + down
+        # one-step flip probability per unit rate at the current total rate
+        saturation = -math.expm1(-total * dt) / total if total > 0.0 else dt
+        u = fraction(n_tlf, 0, 1)
+        d = fraction(n_tlf, 1, 0)
+        u = up * saturation if u is None else u
+        d = down * saturation if d is None else d
+        total = -math.log1p(-min(u + d, 1.0 - 1e-15)) / dt
+        up, down = (total * u / (u + d), total * d / (u + d)) if total > 0.0 else (0.0, 0.0)
     return RateSet(
-        gamma_t0=rate(p_t0), gamma_tm=rate(p_tm), tlf_up=rate(p_up), tlf_down=rate(p_down)
-    )
-
-
-_SPIN_ALLOWED = np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)
-STRUCTURAL_MASK = np.kron(np.ones((2, 2), dtype=bool), _SPIN_ALLOWED)
-
-
-def _rates_from_counts(xi: np.ndarray, dt: float, fallback: RateSet) -> RateSet:
-    """MLE rates from expected transition counts, pooled over branches.
-
-    Each flip probability is (expected flips)/(expected occupancy), so
-    branches the data never visits contribute nothing instead of dragging
-    the estimate toward stale initial values. Falls back to ``fallback``
-    for rates whose occupancy is zero (e.g. single-sample traces).
-    """
-
-    def rate(flips, occupancy, default):
-        if occupancy <= 1e-300:
-            return default
-        p = min(max(flips / occupancy, 0.0), 1.0 - 1e-15)
-        return -math.log1p(-p) / dt
-
-    return RateSet(
-        gamma_t0=rate(xi[[1, 4]][:, [0, 3]].sum(), xi[[1, 4]].sum(), fallback.gamma_t0),
-        gamma_tm=rate(xi[[2, 5]][:, [0, 3]].sum(), xi[[2, 5]].sum(), fallback.gamma_tm),
-        tlf_up=rate(xi[0:3, 3:6].sum(), xi[0:3].sum(), fallback.tlf_up),
-        tlf_down=rate(xi[3:6, 0:3].sum(), xi[3:6].sum(), fallback.tlf_down),
+        gamma_t0=decay(1, rates.gamma_t0), gamma_tm=decay(2, rates.gamma_tm),
+        tlf_up=up, tlf_down=down,
     )
 
 
@@ -704,17 +684,21 @@ def em_fit(
 ) -> EmFitResult:
     """Baum-Welch parameter estimation on a batch of traces.
 
-    The one-step transition matrix is updated freely except for the
-    structural zeros of the generator (spin transitions that can never
-    occur), which stay pinned at zero. With ``tie_emissions`` the six
-    states share two means (one per charge configuration) and a single
-    std; untied mode fits per-state means and stds. ``freeze_tlf_rates``
-    keeps the fluctuator rates of ``init`` in the returned parameters.
+    Every iteration scores an :class:`HmmParams`, whose one-step matrix
+    is built from its rates; the M-step updates the rates themselves
+    (:func:`_rates_from_counts`, in closed form), so the fitted matrix
+    keeps the generator's structural zeros and the returned parameters are
+    a model the iteration can score. With ``tie_emissions`` the six states
+    share two means (one per charge configuration) and a single std;
+    untied mode fits per-state means and stds, from moments taken about
+    the previous means. ``freeze_tlf_rates`` keeps the fluctuator rates of
+    ``init`` at every iteration.
 
-    The returned parameters carry rates re-derived from the fitted
-    one-step decay probabilities, with the transition matrix rebuilt from
-    those rates so it stays consistent with them; one more forward pass
-    gives their log-likelihood, ``final_log_likelihood``.
+    A converged fit returns the parameters its last E-step scored, so
+    ``final_log_likelihood`` is the last entry of ``log_likelihoods``. A
+    fit stopped at ``max_iter`` returns one more M-step's parameters and
+    scores them with one more forward pass (None if their likelihood
+    vanishes).
     """
     if batch.n_traces == 0:
         raise ValueError("batch must be non-empty")
@@ -722,11 +706,7 @@ def em_fit(
     n, t_len = y.shape
     dt = batch.dt
 
-    pi = init.pi.copy()
-    a = init.a.copy()
-    means = init.emissions.means.copy()
-    stds = init.emissions.stds.copy()
-
+    params = init
     lls = []
     converged = False
     floored = False
@@ -734,11 +714,16 @@ def em_fit(
 
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        live, pi_live, a_live = _live_chain(pi, a)
+        means, stds = params.emissions.means, params.emissions.stds
+        live, pi_live, a_live = _live_chain(params.pi, params.a)
+        centres = means[live, None]
         k = live.size
         pi_sum = np.zeros(k)
         xi_sum = np.zeros((k, k))
-        # columns: sum of gamma, of gamma * y and of gamma * y^2
+        # columns: sum of gamma, of gamma * y and of gamma * y^2; untied,
+        # of gamma * (y - mu) and gamma * (y - mu)^2 about each state's
+        # previous mean mu, so that a small std does not cancel against a
+        # large mean
         moments = np.zeros((k, 3))
         ll_total = 0.0
 
@@ -748,12 +733,20 @@ def em_fit(
             alphas, c = zip(*_forward(pi_live, a_live, b))
             ll_total += float(np.log(c).sum() + shift.sum())
 
-            powers = np.stack([np.ones_like(yt), yt, yt * yt], axis=-1)
+            if tie_emissions:
+                powers = np.stack([np.ones_like(yt), yt, yt * yt], axis=-1)
             step_moments = np.empty((t_len, k, 3))
             step_xi = np.empty((t_len, k, k))
             for t, beta, w in _backward(a_live, b, c):
                 gamma = alphas[t] * beta
-                np.matmul(gamma, powers[t], out=step_moments[t])
+                if tie_emissions:
+                    np.matmul(gamma, powers[t], out=step_moments[t])
+                else:
+                    dev = yt[t] - centres
+                    dev_gamma = dev * gamma
+                    gamma.sum(axis=1, out=step_moments[t, :, 0])
+                    dev_gamma.sum(axis=1, out=step_moments[t, :, 1])
+                    np.einsum("kn,kn->k", dev_gamma, dev, out=step_moments[t, :, 2])
                 if t > 0:
                     np.matmul(alphas[t - 1], w.T, out=step_xi[t])
             pi_sum += gamma.sum(axis=1)  # the backward pass ends at t = 0
@@ -776,10 +769,7 @@ def em_fit(
             break
 
         pi = pi_acc / pi_acc.sum()
-        num = np.where(STRUCTURAL_MASK, xi_acc, 0.0)
-        row = num.sum(axis=1)
-        ok = row > 1e-300
-        a = np.where(ok[:, None], num / np.where(ok, row, 1.0)[:, None], a)
+        rates = _rates_from_counts(xi_acc, dt, params.rates, freeze_tlf_rates)
 
         if not freeze_emissions:
             if tie_emissions:
@@ -798,29 +788,24 @@ def em_fit(
                 stds = np.full(N_STATES, math.sqrt(var))
             else:
                 ok = w_acc > 1e-300
-                mu = np.where(ok, m1_acc / np.where(ok, w_acc, 1.0), means)
-                var = np.where(ok, m2_acc / np.where(ok, w_acc, 1.0) - mu**2, stds**2)
+                offset = np.where(ok, m1_acc / np.where(ok, w_acc, 1.0), 0.0)
+                var = np.where(ok, m2_acc / np.where(ok, w_acc, 1.0) - offset**2, stds**2)
                 if np.any(var[ok] < var_floor):
                     floored = True
                 var = np.maximum(var, var_floor)
-                means = mu
+                means = means + offset
                 stds = np.sqrt(var)
-
-    fitted_rates = _rates_from_counts(xi_acc, dt, fallback=init.rates)
-    if freeze_tlf_rates:
-        fitted_rates = RateSet(
-            gamma_t0=fitted_rates.gamma_t0,
-            gamma_tm=fitted_rates.gamma_tm,
-            tlf_up=init.rates.tlf_up,
-            tlf_down=init.rates.tlf_down,
+        params = HmmParams(
+            pi=pi, rates=rates, dt=dt, emissions=EmissionModel(means=means, stds=stds)
         )
-    params = HmmParams(
-        pi=pi, rates=fitted_rates, dt=dt, emissions=EmissionModel(means=means, stds=stds)
-    )
-    try:
-        final_ll = log_likelihood(params, batch)
-    except ZeroLikelihoodError:
-        final_ll = None
+
+    if converged:
+        final_ll = lls[-1]
+    else:
+        try:
+            final_ll = log_likelihood(params, batch)
+        except ZeroLikelihoodError:
+            final_ll = None
     return EmFitResult(
         params=params,
         log_likelihoods=np.asarray(lls),

@@ -192,6 +192,16 @@ class TestClassifyAndSweep:
         assert code == 0
         assert report["results"]["ties"] == [None, None, None]
 
+    def test_unknown_classifier_is_config_error(self, tmp_path, capsys, bundle_path):
+        config = _write_config(tmp_path, "cls.json", {
+            "input": bundle_path, "hmm": _hmm_dict(), "classifier": "bayes",
+            "basis": "parity", "t_read_s": 1e-4,
+        })
+        code, report, err = _run(capsys, ["classify", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert report is None
+        assert "classifier must be 'threshold' or 'hmm'" in err
+
     def test_missing_input_exit_code(self, tmp_path, capsys):
         config = _write_config(tmp_path, "cls.json", {
             "input": str(tmp_path / "nope"), "hmm": _hmm_dict(), "classifier": "hmm",

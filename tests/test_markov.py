@@ -2,19 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 import spinread as sr
 from spinread import markov
 from spinread.markov import (
     N_STATES,
-    STRUCTURAL_MASK,
     ZeroLikelihoodError,
     build_generator,
-    rates_from_transition_matrix,
     start_posterior_batch,
     start_posteriors_at,
     transition_matrix,
+)
+
+
+# transitions the generator allows in one step (spin decays to S, each
+# combined with any fluctuator move); every other one-step entry is zero
+_STRUCTURAL_MASK = np.kron(
+    np.ones((2, 2), dtype=bool), np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)
 )
 
 
@@ -90,11 +97,16 @@ class TestTransitionMatrix:
             assert a.min() >= 0.0 and a.max() <= 1.0
             assert np.abs(transition_matrix(q, 2 * dt) - a @ a).max() < 1e-10
 
-    def test_kronecker_closed_form_oracle(self):
-        # spin decay and fluctuator switching commute, so the one-step
-        # matrix factorizes into closed-form 3x3 and 2x2 blocks
-        rates = sr.RateSet(5882.35, 3.448, 37.0, 91.0)
-        dt = 2.3e-5
+    @pytest.mark.parametrize("rates, dt", [
+        ((5882.35, 3.448, 37.0, 91.0), 2.3e-5),
+        ((1e4, 1e3, 40.0, 80.0), 1e-5),
+        ((2e5, 5e4, 3e4, 6e4), 1e-5),
+    ])
+    def test_kronecker_closed_form_oracle(self, rates, dt):
+        # spin decay and fluctuator switching commute (the generator is a
+        # Kronecker sum), so the one-step matrix factorizes as F (x) S into
+        # closed-form 2x2 and 3x3 blocks; em_fit's M-step relies on it
+        rates = sr.RateSet(*rates)
         a = transition_matrix(build_generator(rates), dt)
         g0, gm, u, d = rates.gamma_t0, rates.gamma_tm, rates.tlf_up, rates.tlf_down
         a_spin = np.array([
@@ -106,11 +118,14 @@ class TestTransitionMatrix:
         e = math.exp(-r * dt)
         a_tlf = np.array([[(d + u * e) / r, u * (1 - e) / r], [d * (1 - e) / r, (u + d * e) / r]])
         assert np.abs(a - np.kron(a_tlf, a_spin)).max() < 1e-12
+        q_spin = build_generator(sr.RateSet(g0, gm))[:3, :3]
+        q_tlf = np.array([[-u, u], [d, -d]])
+        assert np.abs(a - np.kron(expm(q_tlf * dt), expm(q_spin * dt))).max() < 1e-14
 
     def test_structural_zeros_exact(self):
         a = transition_matrix(build_generator(sr.RateSet(5e3, 5.0, 40.0, 80.0)), 1e-4)
-        assert np.all(a[~STRUCTURAL_MASK] == 0.0)
-        assert np.all(a[STRUCTURAL_MASK] > 0.0)
+        assert np.all(a[~_STRUCTURAL_MASK] == 0.0)
+        assert np.all(a[_STRUCTURAL_MASK] > 0.0)
 
     def test_invalid_generator_rejected(self):
         q = np.zeros((6, 6))
@@ -120,15 +135,6 @@ class TestTransitionMatrix:
             transition_matrix(q, 1.0)
         with pytest.raises(ValueError):
             transition_matrix(np.ones((6, 6)), 1.0)
-
-    def test_rates_roundtrip_through_matrix(self):
-        rates = sr.RateSet(5882.35, 3.448, 37.0, 91.0)
-        dt = 1e-6  # small steps keep the fluctuator inversion first-order exact
-        rec = rates_from_transition_matrix(transition_matrix(build_generator(rates), dt), dt)
-        assert abs(rec.gamma_t0 - rates.gamma_t0) < 1e-4 * rates.gamma_t0
-        assert abs(rec.gamma_tm - rates.gamma_tm) < 1e-4 * rates.gamma_tm
-        assert abs(rec.tlf_up - rates.tlf_up) < 1e-3 * rates.tlf_up
-        assert abs(rec.tlf_down - rates.tlf_down) < 1e-3 * rates.tlf_down
 
 
 class TestSimulate:
@@ -417,6 +423,8 @@ class TestGoldenValues:
             np.testing.assert_allclose(ll, ll_ref, rtol=1e-12, atol=0)
 
     def test_em_fit_two_iterations(self):
+        # recorded when the M-step moved to the rates; the first
+        # log-likelihood (of init) is the one recorded before
         truth = sr.HmmParams.from_spin_model(
             [0.3, 0.3, 0.4], sr.RateSet(1e4, 1e3, 40.0, 80.0), dt=1e-5, std=0.35,
             tlf_excited_prob=0.2,
@@ -425,27 +433,62 @@ class TestGoldenValues:
             [1 / 3, 1 / 3, 1 / 3], sr.RateSet(2e4, 3e3, 100.0, 100.0), dt=1e-5, std=0.5,
             v_singlet=-0.1, v_triplet=1.2, tlf_excited_prob=0.1,
         )
-        fit = sr.em_fit(sr.simulate_batch(truth, 40, 25, seed=41), init, max_iter=2)
+        batch = sr.simulate_batch(truth, 40, 25, seed=41)
+        fit = sr.em_fit(batch, init, max_iter=2)
         p = fit.params
         rtol = dict(rtol=1e-12, atol=0)
         np.testing.assert_allclose(
-            fit.log_likelihoods, [-610.0205548029192, -464.02045566398806], **rtol
+            fit.log_likelihoods, [-610.0205548029192, -464.4074388757335], **rtol
         )
         np.testing.assert_allclose(p.pi, [
-            0.3400393071149675, 0.1809392776380768, 0.31715854056637455,
-            0.044881044911934675, 0.057015950770680446, 0.059965878997966016,
+            0.3306717794901616, 0.17507727144192975, 0.3189878891190255,
+            0.04746562910439732, 0.06501299562684207, 0.06278443521764396,
         ], **rtol)
-        v_singlet, v_triplet = -0.006072556282244302, 0.9952793611192171
+        v_singlet, v_triplet = -0.005948463450521397, 0.9955602531585205
         np.testing.assert_allclose(
             p.emissions.means, [v_singlet, v_triplet, v_triplet, v_triplet, v_singlet, v_singlet],
             **rtol,
         )
-        np.testing.assert_allclose(p.emissions.stds, np.full(6, 0.3515830465601527), **rtol)
+        np.testing.assert_allclose(p.emissions.stds, np.full(6, 0.3515214081078018), **rtol)
         np.testing.assert_allclose(
             [p.rates.gamma_t0, p.rates.gamma_tm, p.rates.tlf_up, p.rates.tlf_down],
-            [14587.969470365524, 2285.4361759818144, 73.72702856200576, 28.9925392854483],
+            [14238.82662593078, 2176.0767694773913, 86.88908898316463, 23.784519876201387],
             **rtol,
         )
+        # the second M-step started from the first one's parameters; its
+        # pi, emissions and decay rates agree with the posterior oracle
+        first = sr.em_fit(batch, init, max_iter=1).params
+        oracle = _m_step_oracle(first, batch, tie_emissions=True)
+        np.testing.assert_allclose(p.pi, oracle["pi"], rtol=1e-11)
+        np.testing.assert_allclose(p.emissions.means, oracle["means"], rtol=1e-11)
+        np.testing.assert_allclose(p.emissions.stds, oracle["stds"], rtol=1e-11)
+        np.testing.assert_allclose([p.rates.gamma_t0, p.rates.gamma_tm], oracle["decays"], rtol=1e-11)
+
+
+def _m_step_oracle(params, batch, tie_emissions):
+    """One Baum-Welch M-step for pi, the emissions and the spin decay
+    rates, from per-trace forward_backward posteriors, with two-pass
+    (centred) variances."""
+    gammas = np.array([sr.forward_backward(params, batch[k]).probs for k in range(len(batch))])
+    y = batch.samples[:, :, None]
+    occupancy = gammas.sum(axis=(0, 1))
+    if tie_emissions:
+        means = np.empty(N_STATES)
+        for group in (markov.SINGLET_SIGNAL_STATES, markov.TRIPLET_SIGNAL_STATES):
+            g = list(group)
+            means[g] = (gammas[..., g] * y).sum() / gammas[..., g].sum()
+        var = np.full(N_STATES, (gammas * (y - means) ** 2).sum() / occupancy.sum())
+    else:
+        means = (gammas * y).sum(axis=(0, 1)) / occupancy
+        var = (gammas * (y - means) ** 2).sum(axis=(0, 1)) / occupancy
+    # a triplet is only ever left, never entered: its expected decays are
+    # the drop in its occupation from the first to the last sample
+    spin = gammas.reshape(*gammas.shape[:2], 2, 3).sum(axis=2)
+    flips = (spin[:, 0, 1:] - spin[:, -1, 1:]).sum(axis=0)
+    decays = -np.log1p(-flips / spin[:, :-1, 1:].sum(axis=(0, 1))) / batch.dt
+    return {
+        "pi": gammas[:, 0].mean(axis=0), "means": means, "stds": np.sqrt(var), "decays": decays,
+    }
 
 
 def _reference_params(dt=10e-6):
@@ -710,7 +753,7 @@ class TestEmFit:
         truth = self._truth()
         batch = sr.simulate_batch(truth, 300, 40, seed=23)
         fit = sr.em_fit(batch, truth, max_iter=5)
-        assert np.all(fit.params.a[~STRUCTURAL_MASK] == 0.0)
+        assert np.all(fit.params.a[~_STRUCTURAL_MASK] == 0.0)
 
     def test_freeze_options(self):
         truth = self._truth()
@@ -724,16 +767,72 @@ class TestEmFit:
             std=0.35,
             tlf_excited_prob=0.1,
         )
-        fit = sr.em_fit(batch, tlf_init, freeze_tlf_rates=True, max_iter=3)
-        assert fit.params.rates.tlf_up == 17.0
-        assert fit.params.rates.tlf_down == 23.0
+        # every iterate keeps the fluctuator rates: the parameters returned
+        # after k M-steps are the model that E-step k + 1 scores
+        fits = [sr.em_fit(batch, tlf_init, freeze_tlf_rates=True, max_iter=k) for k in (1, 2, 3)]
+        for k, fit in enumerate(fits, 1):
+            assert fit.params.rates.tlf_up == 17.0
+            assert fit.params.rates.tlf_down == 23.0
+            if k < len(fits):
+                assert fits[k].log_likelihoods[k] == fit.final_log_likelihood
+
+    def test_untied_moments_match_two_pass_oracle(self):
+        # means near 1000 with stds of 0.01-0.03: the variance is ~1e-10 of
+        # the raw second moment, so an uncentred E[y^2] - mu^2 loses digits
+        dt = 1e-5
+        truth = sr.HmmParams(
+            pi=np.array([0.3, 0.2, 0.2, 0.1, 0.1, 0.1]),
+            rates=sr.RateSet(1e4, 3e3, 4e3, 6e3),
+            dt=dt,
+            emissions=sr.EmissionModel(
+                means=1000.0 + np.array([0.0, 0.1, 0.13, 0.09, 0.02, 0.04]),
+                stds=np.array([0.01, 0.015, 0.02, 0.025, 0.03, 0.012]),
+            ),
+        )
+        batch = sr.simulate_batch(truth, 30, 20, seed=25)
+        fit = sr.em_fit(batch, truth, tie_emissions=False, max_iter=1)
+        oracle = _m_step_oracle(truth, batch, tie_emissions=False)
+        p = fit.params
+        np.testing.assert_allclose(p.emissions.stds, oracle["stds"], rtol=1e-9)
+        np.testing.assert_allclose(p.emissions.means, oracle["means"], rtol=1e-13)
+        np.testing.assert_allclose(p.pi, oracle["pi"], rtol=1e-11)
+        np.testing.assert_allclose([p.rates.gamma_t0, p.rates.gamma_tm], oracle["decays"], rtol=1e-11)
+
+
+@pytest.mark.parametrize("seed", [80, 81, 82])
+def test_rate_update_maximises_expected_transition_log_likelihood(seed):
+    # the closed-form M-step against a direct Nelder-Mead maximisation of
+    # sum_ij xi_ij log A(rates)_ij over the four log-rates
+    rng = np.random.default_rng(seed)
+    dt = 1e-5
+    start = sr.RateSet(*rng.uniform([2e3, 5e2, 2e3, 2e3], [3e4, 1e4, 3e4, 3e4]))
+    a = transition_matrix(build_generator(start), dt)
+    xi = rng.uniform(50.0, 500.0, (6, 1)) * a * rng.uniform(0.7, 1.3, (6, 6))
+    allowed = xi > 0.0
+
+    def objective(log_rates):
+        a = transition_matrix(build_generator(sr.RateSet(*np.exp(log_rates))), dt)
+        return float((xi[allowed] * np.log(a[allowed])).sum())
+
+    got = markov._rates_from_counts(xi, dt, start, freeze_tlf_rates=False)
+    got = np.array([got.gamma_t0, got.gamma_tm, got.tlf_up, got.tlf_down])
+    best = minimize(
+        lambda x: -objective(x), np.log([start.gamma_t0, start.gamma_tm, start.tlf_up, start.tlf_down]),
+        method="Nelder-Mead",
+        options=dict(xatol=1e-11, fatol=1e-13, maxiter=20_000, maxfev=20_000),
+    )
+    assert objective(np.log(got)) >= -best.fun - 3e-13 * abs(best.fun)
+    np.testing.assert_allclose(got, np.exp(best.x), rtol=5e-7)
+    # frozen, the fluctuator rates are the current ones
+    frozen = markov._rates_from_counts(xi, dt, start, freeze_tlf_rates=True)
+    assert (frozen.tlf_up, frozen.tlf_down) == (start.tlf_up, start.tlf_down)
+    assert (frozen.gamma_t0, frozen.gamma_tm) == tuple(got[:2])
 
 
 class TestFinalLogLikelihood:
-    """em_fit scores the parameters it returns. They differ from the last
-    E-step's inputs: rates are re-derived from the expected counts and the
-    transition matrix is rebuilt from them (and, before convergence, pi and
-    the emissions come from one more M-step)."""
+    """em_fit scores the parameters it returns. A converged fit returns the
+    iterate its last E-step scored; a fit stopped at max_iter returns one
+    more M-step's parameters and scores them with one more forward pass."""
 
     def test_reference_point_gap(self):
         truth = _reference_params()
@@ -745,12 +844,12 @@ class TestFinalLogLikelihood:
         fit = sr.em_fit(batch, init)
         assert fit.converged and fit.n_iterations == 5
         assert fit.final_log_likelihood == sr.log_likelihood(fit.params, batch)
-        # without switching the rebuilt matrix is the fitted one: the
-        # returned parameters score at least as well as the last E-step
-        gap = fit.final_log_likelihood - fit.log_likelihoods[-1]
-        assert 0.0 <= gap < 1e-4
+        assert fit.final_log_likelihood == fit.log_likelihoods[-1]
 
-    def test_switching_gap_is_negative(self):
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_switching_gap_is_zero(self, tie):
+        # every E-step scores a model built from rates, so with switching
+        # too the returned parameters are the converged ones
         truth = sr.HmmParams.from_spin_model(
             [0.3, 0.3, 0.4], sr.RateSet(1e4, 1e3, 40.0, 80.0), dt=1e-5, std=0.35,
             tlf_excited_prob=0.2,
@@ -759,14 +858,13 @@ class TestFinalLogLikelihood:
             [1 / 3, 1 / 3, 1 / 3], sr.RateSet(2e4, 3e3, 100.0, 100.0), dt=1e-5, std=0.5,
             v_singlet=-0.1, v_triplet=1.2, tlf_excited_prob=0.1,
         )
-        fit = sr.em_fit(sr.simulate_batch(truth, 40, 25, seed=41), init)
-        assert fit.converged and fit.n_iterations == 48
-        # the rates pool the decay counts of both fluctuator branches and
-        # invert the switching to first order, so the matrix rebuilt from
-        # them is not the fitted one: the returned parameters score 1.2
-        # nats below the converged value (a known defect, pinned here)
-        gap = fit.final_log_likelihood - fit.log_likelihoods[-1]
-        np.testing.assert_allclose(gap, -1.195093400908661, rtol=1e-6)
+        batch = sr.simulate_batch(truth, 40, 25, seed=41)
+        fit = sr.em_fit(batch, init, tie_emissions=tie)
+        lls = fit.log_likelihoods
+        assert fit.converged
+        assert np.all(np.diff(lls) >= -1e-9 * np.abs(lls[:-1]))
+        assert fit.final_log_likelihood == lls[-1]
+        assert fit.final_log_likelihood == sr.log_likelihood(fit.params, batch)
 
     def test_vanishing_likelihood_gives_none(self, monkeypatch):
         def vanish(params, batch):
