@@ -308,6 +308,12 @@ class Posterior:
     log_likelihood: float
 
 
+# Time steps one comparison of ``_hidden_paths`` scans per trace.
+_STEP_BLOCK = 64
+# Samples per row block when simulate_batch turns paths into emissions.
+_EMIT_ELEMENTS = 1 << 16
+
+
 def simulate_batch(
     params: HmmParams,
     n_traces: int,
@@ -317,9 +323,13 @@ def simulate_batch(
 ):
     """Draw traces from the generative model.
 
-    Each trace k consumes its own generator seeded by (seed, k), so batches
-    are reproducible and independent of generation order. The ground-truth
-    label is the spin of the hidden state at t = 0.
+    Each trace k consumes its own generator seeded by (seed, k): first
+    ``n_samples`` uniforms, which drive the hidden path (see
+    ``_hidden_paths``), then ``n_samples`` standard normals z, and sample t
+    is ``means[s_t] + stds[s_t] * z_t``. A seed therefore gives the same
+    traces whatever the batch size or generation order, and bit-identical
+    samples, labels and paths across versions of this function. The
+    ground-truth label is the spin of the hidden state at t = 0.
     """
     if n_traces < 1 or n_samples < 1:
         raise ValueError("n_traces and n_samples must be >= 1")
@@ -330,28 +340,77 @@ def simulate_batch(
     y = np.empty((n_traces, n_samples))
     for k in range(n_traces):
         rng = np.random.default_rng((int(seed), k))
-        u[k] = rng.random(n_samples)
-        y[k] = rng.standard_normal(n_samples)
+        rng.random(out=u[k])
+        rng.standard_normal(out=y[k])
 
-    cum_pi = np.cumsum(params.pi)
-    cum_a = np.cumsum(params.a, axis=1)
+    paths = _hidden_paths(u, np.cumsum(params.pi), np.cumsum(params.a, axis=1))
+    del u  # freed before the emission pass
     means = params.emissions.means
     stds = params.emissions.stds
+    step = max(1, _EMIT_ELEMENTS // n_samples)
+    for start in range(0, n_traces, step):
+        rows = slice(start, start + step)
+        p = paths[rows].astype(np.intp)
+        z = y[rows]
+        z *= np.take(stds, p)
+        z += np.take(means, p)
 
-    state = np.minimum(np.searchsorted(cum_pi, u[:, 0], side="right"), N_STATES - 1)
-    labels = (state % 3).astype(np.int8)
-    paths = np.empty((n_traces, n_samples), dtype=np.int8) if return_paths else None
-    for t in range(n_samples):
-        if t > 0:
-            rows = cum_a[state]
-            state = (rows <= u[:, t, None]).sum(axis=1)
-            np.minimum(state, N_STATES - 1, out=state)
-        if paths is not None:
-            paths[:, t] = state
-        y[:, t] = means[state] + stds[state] * y[:, t]
-
+    labels = (paths[:, 0] % 3).astype(np.int8)
     batch = TraceBatch(dt=params.dt, samples=y, labels=labels)
     return (batch, paths) if return_paths else batch
+
+
+def _hidden_paths(u: np.ndarray, cum_pi: np.ndarray, cum_a: np.ndarray) -> np.ndarray:
+    """Hidden-state paths, int8 (n_traces, n_samples), from uniforms ``u`` in [0, 1).
+
+    The rule: the state at t = 0 is min(#{cum_pi <= u_0}, 5), and a trace
+    in state s moves at step t to min(#{cum_a[s] <= u_t}, 5). Because each
+    row of ``cum_a`` is non-decreasing, that keeps the trace in s exactly
+    while cum_a[s, s-1] <= u_t < cum_a[s, s] (no lower end for s = 0, no
+    upper end for s = 5). So the rule is applied only where u_t leaves that
+    interval: per block of steps, one comparison finds each moving trace's
+    next exit, and the steps in between keep the state. A state whose
+    interval holds all of [0, 1) is never left, and its traces are skipped.
+    The result equals applying the rule at every step.
+    """
+    n, n_steps = u.shape
+    lo = np.concatenate(([-np.inf], np.diagonal(cum_a, -1)))
+    hi = np.append(np.diagonal(cum_a)[:-1], np.inf)
+    can_leave = (lo > 0.0) | (hi < 1.0)
+    state = np.minimum(np.searchsorted(cum_pi, u[:, 0], side="right"), N_STATES - 1)
+    paths = np.empty((n, n_steps), dtype=np.int8)
+    paths[:, 0] = state
+    cols = np.arange(_STEP_BLOCK)
+    # state changes within the current block; their running sum is the path
+    moves = np.zeros((n, _STEP_BLOCK), dtype=np.int8)
+    for t0 in range(1, n_steps, _STEP_BLOCK):
+        t1 = min(t0 + _STEP_BLOCK, n_steps)
+        block = paths[:, t0:t1]
+        block[:] = state[:, None]
+        rows = np.flatnonzero(can_leave[state])
+        start = np.full(rows.size, t0)
+        moved = np.zeros(n, dtype=bool)
+        while rows.size:
+            s = state[rows]
+            first = int(start.min())
+            ub = u[rows, first:t1]
+            leave = (ub < lo[s, None]) | (ub >= hi[s, None])
+            if first > t0:
+                leave &= cols[: t1 - first] >= (start - first)[:, None]
+            c = leave.argmax(axis=1)
+            hit = leave[np.arange(rows.size), c]
+            rows, s, c = rows[hit], s[hit], c[hit] + first
+            new = np.minimum((cum_a[s] <= u[rows, c, None]).sum(axis=1), N_STATES - 1)
+            state[rows] = new
+            moves[rows, c - t0] = new - s
+            moved[rows] = True
+            start = c + 1
+            keep = can_leave[new] & (start < t1)
+            rows, start = rows[keep], start[keep]
+        changed = np.flatnonzero(moved)
+        block[changed] += np.cumsum(moves[changed, : t1 - t0], axis=1, dtype=np.int8)
+        moves[changed] = 0
+    return paths
 
 
 # Largest (T, 6, n_chunk) float array built per trace chunk (80 MB).

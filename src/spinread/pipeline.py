@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,8 +97,8 @@ class TraceBundle:
     def save(self, prefix: str) -> tuple[str, str]:
         manifest_path = f"{prefix}.manifest.json"
         data_path = f"{prefix}.f64"
-        _atomic_write_bytes(data_path, self.data.astype("<f8").tobytes())
-        _atomic_write_text(manifest_path, json.dumps(asdict(self.manifest), indent=2) + "\n")
+        _atomic_write_bytes(data_path, np.ascontiguousarray(self.data, dtype="<f8"))
+        _atomic_write_text(manifest_path, json.dumps(vars(self.manifest), indent=2) + "\n")
         return manifest_path, data_path
 
     @classmethod
@@ -114,7 +114,7 @@ class TraceBundle:
         cols = manifest.background_samples + manifest.n_samples
         if raw.size != manifest.n_traces * cols:
             raise ValueError("data file size does not match manifest dimensions")
-        return cls(manifest, raw.reshape(manifest.n_traces, cols).astype(np.float64))
+        return cls(manifest, raw.reshape(manifest.n_traces, cols))
 
     def to_csv(self, path: str) -> None:
         lines = [f"dt,{self.manifest.dt!r}"]
@@ -137,7 +137,9 @@ class TraceBundle:
         return cls(manifest, data)
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def _atomic_write_bytes(path: str, payload) -> None:
+    """Write a bytes-like ``payload`` (bytes or a contiguous array) to
+    ``path`` through a temporary file, so readers never see a partial file."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -165,21 +167,17 @@ def drift_correct(bundle: TraceBundle, window: int = 50) -> TraceBundle:
     bg_means = bundle.backgrounds.mean(axis=1)
     n = bundle.manifest.n_traces
     cum = np.concatenate([[0.0], np.cumsum(bg_means)])
-    correction = np.empty(n)
-    correction[0] = bg_means[0]
-    for k in range(1, n):
-        lo = max(0, k - window)
-        correction[k] = (cum[k] - cum[lo]) / (k - lo)
+    k = np.arange(1, n)
+    lo = np.maximum(0, k - window)
+    correction = np.concatenate(([bg_means[0]], (cum[k] - cum[lo]) / (k - lo)))
     data = bundle.data - correction[:, None]
-    manifest = BundleManifest(**{**asdict(bundle.manifest), "corrected": True})
-    return TraceBundle(manifest, data)
+    return TraceBundle(replace(bundle.manifest, corrected=True), data)
 
 
 def with_linear_drift(bundle: TraceBundle, step: float) -> TraceBundle:
     """Copy of the bundle with an offset of step * k added to trace k."""
     offsets = step * np.arange(bundle.manifest.n_traces)
-    manifest = BundleManifest(**asdict(bundle.manifest))
-    return TraceBundle(manifest, bundle.data + offsets[:, None])
+    return TraceBundle(replace(bundle.manifest), bundle.data + offsets[:, None])
 
 
 class IqBatch:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -271,6 +272,32 @@ class TestPreprocess:
         # the linear drift is mostly removed from late traces
         assert abs(corrected.readout[-1].mean()) < abs(raw.readout[-1].mean())
 
+
+    # sha256 of each output file, recorded with the per-sample simulation
+    # loop and the per-trace drift-correction loop these files came from
+    GOLDEN_FILES = {
+        "raw.f64": "87d66c05667ada678b51e107499201fbc55525a912c65cd6075be7034251941f",
+        "raw.manifest.json": "08570094662ee0914683a2f1d1068ad1c1bc4b20a3da207348c32809a3cca9e7",
+        "corrected.f64": "337dc02802d1a8835e20e9721ecc6952101c882ca8ac396c320e34e75264a5df",
+        "corrected.manifest.json": "4318c34aeb4daf42a63596f3a2e1792923974277750f0d066d57b405616e1437",
+    }
+
+    def test_simulate_preprocess_files_are_golden(self, tmp_path, capsys):
+        sim = _write_config(tmp_path, "sim.json", {
+            "hmm": _hmm_dict(), "n_traces": 300, "n_samples": 40, "background_samples": 10,
+            "background_mean": 0.05, "drift_per_trace": 2e-3, "output": "raw",
+        })
+        pre = _write_config(tmp_path, "pre.json", {
+            "input": str(tmp_path / "raw"), "window": 25, "output": "corrected",
+        })
+        assert main(["simulate", "--config", sim, "--seed", "9", "--out", str(tmp_path)]) == 0
+        assert main(["preprocess", "--config", pre, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.GOLDEN_FILES
+        }
+        assert digests == self.GOLDEN_FILES
 
 class TestFitCommands:
     def test_fit_physics_lz(self, tmp_path, capsys):

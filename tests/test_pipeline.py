@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ class TestDriftCorrect:
 
         assert overlap_error(corrected) < overlap_error(drifted)
 
+    @pytest.mark.parametrize("n_traces, window", [(1, 50), (7, 3), (120, 1), (120, 50), (120, 500)])
+    def test_equals_per_trace_loop(self, n_traces, window):
+        # the per-trace running mean drift_correct used to compute, one
+        # trace at a time; the vectorised form performs the same operations
+        bundle = _bundle_with_backgrounds(np.random.default_rng(5), n_traces=n_traces)
+        bg_means = bundle.backgrounds.mean(axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(bg_means)])
+        correction = np.empty(n_traces)
+        correction[0] = bg_means[0]
+        for k in range(1, n_traces):
+            lo = max(0, k - window)
+            correction[k] = (cum[k] - cum[lo]) / (k - lo)
+        corrected = drift_correct(bundle, window=window)
+        np.testing.assert_array_equal(corrected.data, bundle.data - correction[:, None])
+        assert corrected.manifest.corrected and not bundle.manifest.corrected
+        assert corrected.manifest.labels == bundle.manifest.labels
+
     def test_missing_background_rejected(self):
         manifest = BundleManifest(dt=1e-5, n_traces=3, n_samples=4)
         bundle = TraceBundle(manifest, np.zeros((3, 4)))
@@ -188,6 +206,34 @@ class TestPersistence:
         loaded = TraceBundle.load(prefix)
         np.testing.assert_array_equal(loaded.data, bundle.data)
         assert loaded.manifest == bundle.manifest
+
+    def test_files_match_deep_copied_serialisation(self, tmp_path):
+        # the manifest text equals json.dumps(asdict(...)) and the data
+        # file equals the little-endian float64 bytes, as before
+        rng = np.random.default_rng(15)
+        labels = [int(v) for v in rng.integers(0, 3, 4000)]
+        bundle = _bundle_with_backgrounds(rng, n_traces=4000, n_samples=6, n_bg=2, labels=labels)
+        prefix = str(tmp_path / "big")
+        manifest_path, data_path = bundle.save(prefix)
+        with open(manifest_path) as fh:
+            assert fh.read() == json.dumps(asdict(bundle.manifest), indent=2) + "\n"
+        with open(data_path, "rb") as fh:
+            assert fh.read() == bundle.data.astype("<f8").tobytes()
+        loaded = TraceBundle.load(prefix)
+        assert loaded.data.dtype == np.float64 and loaded.data.flags.c_contiguous
+        np.testing.assert_array_equal(loaded.data, bundle.data)
+        assert loaded.manifest == bundle.manifest
+
+    def test_drift_copies_leave_the_source_manifest(self):
+        rng = np.random.default_rng(16)
+        bundle = _bundle_with_backgrounds(rng, n_traces=6, labels=[0, 1, 2, 0, 1, 2])
+        before = asdict(bundle.manifest)
+        drifted = with_linear_drift(bundle, 0.1)
+        corrected = drift_correct(drifted)
+        assert drifted.manifest is not bundle.manifest
+        assert asdict(drifted.manifest) == before
+        assert asdict(corrected.manifest) == {**before, "corrected": True}
+        assert asdict(bundle.manifest) == before
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
