@@ -4,7 +4,9 @@ Every subcommand reads a JSON config (``--config``, with ``--set``
 overrides), writes its outputs atomically under ``--out``, and prints a
 RunReport as JSON on stdout. Randomized commands require an explicit
 seed. Exit codes: 0 success, 2 config error, 3 missing input, 4
-numerical non-convergence (partial outputs are still written).
+numerical non-convergence (partial outputs are still written). Any
+``ValueError`` from the library is a config error: :func:`main` maps it
+to exit 2 in one place.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ EXIT_NON_CONVERGENCE = 4
 SCHEMA_VERSION = 1
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -207,13 +209,6 @@ def _density_from_config(obj: dict) -> DensityParams:
         raise ConfigError(f"invalid density parameter block: {exc}") from exc
 
 
-def _basis_from_config(name: str) -> ReadoutBasis:
-    try:
-        return ReadoutBasis(name)
-    except ValueError:
-        raise ConfigError(f"unknown basis {name!r}") from None
-
-
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -272,6 +267,8 @@ def _cmd_simulate(config, seed, out_dir):
     params = _hmm_from_config(config["hmm"])
     batch = simulate_batch(params, config["n_traces"], config["n_samples"], seed)
     n_bg = config["background_samples"]
+    if n_bg < 0:
+        raise ConfigError("background_samples must be >= 0")
     if n_bg > 0:
         std = float(np.mean(params.emissions.stds))
         bg = np.empty((batch.n_traces, n_bg))
@@ -296,10 +293,7 @@ def _cmd_simulate(config, seed, out_dir):
 
 def _cmd_preprocess(config, seed, out_dir):
     bundle = _require_bundle(config["input"])
-    try:
-        corrected = drift_correct(bundle, window=config["window"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    corrected = drift_correct(bundle, window=config["window"])
     prefix = os.path.join(out_dir, config["output"])
     outputs = list(corrected.save(prefix))
     return {"window": config["window"], "corrected": True}, outputs
@@ -308,15 +302,9 @@ def _cmd_preprocess(config, seed, out_dir):
 def _sweep_common(config, t_read_values):
     bundle = _require_bundle(config["input"])
     params = _hmm_from_config(config["hmm"])
-    basis = _basis_from_config(config["basis"])
+    basis = ReadoutBasis(config["basis"])
     classifier = config["classifier"]
-    batch = bundle.to_batch()
-    if batch.labels is None:
-        raise ConfigError("input bundle carries no ground-truth labels")
-    try:
-        reports = fidelity_sweep(params, batch, t_read_values, classifier, basis)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    reports = fidelity_sweep(params, bundle.to_batch(), t_read_values, classifier, basis)
     return reports, classifier, basis
 
 
@@ -383,10 +371,7 @@ def _cmd_fit_hmm(config, seed, out_dir):
 def _cmd_fit_histogram(config, seed, out_dir):
     data = _read_csv_columns(_require_file(config["input_csv"]), 2)
     init = _density_from_config(config["init"])
-    try:
-        params, fit = fit_histogram(data[:, 0], data[:, 1], float(config["t_s"]), config["mode"], init)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params, fit = fit_histogram(data[:, 0], data[:, 1], float(config["t_s"]), config["mode"], init)
     payload = {
         "density": {
             "v_s": params.v_s, "v_t": params.v_t,
@@ -416,13 +401,10 @@ def _cmd_fit_physics(config, seed, out_dir):
     try:
         model = get_model(config["model"])
     except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(exc.args[0]) from None
     data = _read_csv_columns(_require_file(config["input_csv"]), 2)
     weights = data[:, 2] if data.shape[1] >= 3 else None
-    try:
-        fit = fit_model(model, data[:, 0], data[:, 1], init=config["init"], weights=weights)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fit = fit_model(model, data[:, 0], data[:, 1], init=config["init"], weights=weights)
     payload = {
         "model": model.model_id,
         "param_names": list(model.param_names),
@@ -446,10 +428,7 @@ def _cmd_snr(config, seed, out_dir):
         if not config["input_csv"]:
             raise ConfigError("snr mode 'iq' requires input_csv")
         data = _read_csv_columns(_require_file(config["input_csv"]), 2)
-        try:
-            proj = iq_project(IqBatch(data[:, :2]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        proj = iq_project(IqBatch(data[:, :2]))
         payload = {
             "delta_v": proj.delta_v,
             "sigma": proj.sigma,
@@ -464,10 +443,7 @@ def _cmd_snr(config, seed, out_dir):
         if not config["input"] or not config["t_read_s_list"]:
             raise ConfigError("snr mode 'scaling' requires input and t_read_s_list")
         bundle = _require_bundle(config["input"])
-        try:
-            res = noise_scaling(bundle, [float(t) for t in config["t_read_s_list"]])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        res = noise_scaling(bundle, [float(t) for t in config["t_read_s_list"]])
         csv_path = os.path.join(out_dir, config["output"] + ".csv")
         _write_csv(
             csv_path,
@@ -503,10 +479,7 @@ def _cmd_emit(config, seed, out_dir):
         if config["input"] is None or config["t_read_s"] is None:
             raise ConfigError("histogram family requires input and t_read_s")
         bundle = _require_bundle(config["input"])
-        try:
-            avgs = window_average_batch(bundle.to_batch(), config["t_read_s"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        avgs = window_average_batch(bundle.to_batch(), config["t_read_s"])
         centers, counts = build_histogram(avgs, config["bins"])
         width = centers[1] - centers[0]
         total = counts.sum()
@@ -594,7 +567,7 @@ def main(argv=None) -> int:
         report["results"] = results
         report["outputs"] = outputs
         code = EXIT_OK
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingInputError as exc:

@@ -509,6 +509,7 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     Per-step scaling keeps the recursion in range for any input; the trace
     log-likelihood is recovered from the scaling constants.
     """
+    _check_dt(params, trace.dt)
     n_window = _window_samples(trace.dt, trace.samples.size, t_read)
     live, pi, a = _live_chain(params.pi, params.a)
     b, shift = _emission_likelihoods(
@@ -656,6 +657,7 @@ def log_likelihood(params: HmmParams, batch: TraceBatch) -> float:
     """Sum of per-trace forward log-likelihoods over the whole batch."""
     if batch.n_traces == 0:
         raise ValueError("batch must be non-empty")
+    _check_dt(params, batch.dt)
     live, pi, a = _live_chain(params.pi, params.a)
     total = 0.0
     for sl in _trace_chunks(batch.n_traces, batch.n_samples):
@@ -665,6 +667,12 @@ def log_likelihood(params: HmmParams, batch: TraceBatch) -> float:
         c = [c_t for _, c_t in _forward(pi, a, b)]
         total += float(np.log(c).sum() + shift.sum())
     return total
+
+
+def _check_dt(params: HmmParams, dt: float) -> None:
+    """Raise unless ``params`` was built for the data's sample interval."""
+    if not math.isclose(params.dt, dt, rel_tol=1e-9):
+        raise ValueError(f"hmm dt {params.dt!r} s does not match the data's dt {dt!r} s")
 
 
 def _window_samples(dt: float, n_available: int, t_read: float | None) -> int:
@@ -751,7 +759,7 @@ def em_fit(
     share two means (one per charge configuration) and a single std;
     untied mode fits per-state means and stds, from moments taken about
     the previous means. ``freeze_tlf_rates`` keeps the fluctuator rates of
-    ``init`` at every iteration.
+    ``init`` at every iteration. ``init.dt`` must be the batch's dt.
 
     A converged fit returns the parameters its last E-step scored, so
     ``final_log_likelihood`` is the last entry of ``log_likelihoods``. A
@@ -761,6 +769,7 @@ def em_fit(
     """
     if batch.n_traces == 0:
         raise ValueError("batch must be non-empty")
+    _check_dt(init, batch.dt)
     y = batch.samples
     n, t_len = y.shape
     dt = batch.dt

@@ -240,7 +240,7 @@ register_model(PhysicsModel(
     param_names=("delta",),
     param_units=("J",),
     bounds=((1e-32, 1e-22),),
-    fn=lambda x, p: np.exp(-2.0 * math.pi * p[0] ** 2 / (HBAR * x)),
+    fn=lambda x, p: lz_probability(p[0], x),
 ))
 
 register_model(PhysicsModel(
@@ -248,7 +248,7 @@ register_model(PhysicsModel(
     param_names=("alpha", "t_e"),
     param_units=("1", "K"),
     bounds=((1e-4, 1.0), (1e-6, 10.0)),
-    fn=lambda x, p: 3.53 * K_BOLTZMANN / (E_CHARGE * p[0]) * np.sqrt(x**2 + p[1] ** 2),
+    fn=lambda x, p: coulomb_fwhm(p[0], x, p[1]),
 ))
 
 register_model(PhysicsModel(
@@ -264,7 +264,7 @@ register_model(PhysicsModel(
     param_names=("amplitude", "t2_star", "f_rabi", "phase"),
     param_units=("1", "s", "Hz", "rad"),
     bounds=((1e-6, 1e3), (1e-12, 1.0), (1e3, 1e12), (-math.pi, math.pi)),
-    fn=lambda x, p: p[0] * np.exp(-x / p[1]) * np.sin(p[2] * x + p[3]),
+    fn=lambda x, p: damped_rabi(x, p[0], p[1], p[2], p[3]),
 ))
 
 # capacitance-vs-tunnel-rate curve; the physical prefactor is degenerate

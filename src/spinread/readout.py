@@ -22,6 +22,7 @@ from .markov import (
     SpinState,
     Trace,
     TraceBatch,
+    _check_dt,
     _window_samples,
     start_posterior_batch,
     start_posteriors_at,
@@ -146,6 +147,7 @@ def hmm_classify(params: HmmParams, trace: Trace, t_read: float | None = None) -
     each spin; argmax ties resolve in canonical order S < T0 < Tm and are
     flagged.
     """
+    _check_dt(params, trace.dt)
     n = _window_samples(trace.dt, trace.samples.size, t_read)
     labels, post, ties = _classify_windows(params, trace.samples[np.newaxis, :n])
     return HmmClassification(
@@ -155,6 +157,7 @@ def hmm_classify(params: HmmParams, trace: Trace, t_read: float | None = None) -
 
 def hmm_classify_batch(params: HmmParams, batch: TraceBatch, t_read: float | None = None):
     """Batched :func:`hmm_classify`; returns (labels, spin_posteriors, ties)."""
+    _check_dt(params, batch.dt)
     n = _window_samples(batch.dt, batch.n_samples, t_read)
     return _classify_windows(params, batch.samples[:, :n])
 
@@ -274,10 +277,13 @@ def fidelity_sweep(
     from the labelled batch. The HMM classifier reuses ``params``: one
     forward pass over the longest window gives the time-zero posterior
     at every window end (:func:`start_posteriors_at`), and each report
-    carries the number of argmax ties in ``n_ties``.
+    carries the number of argmax ties in ``n_ties``; ``params.dt`` must be
+    the batch's dt. ``t_read_list`` must be non-empty.
     """
     if classifier not in ("threshold", "hmm"):
         raise ValueError("classifier must be 'threshold' or 'hmm'")
+    if len(t_read_list) == 0:
+        raise ValueError("t_read_list must be non-empty")
     truth_spin = batch.spin_labels()
     reports = []
     if classifier == "threshold":
@@ -298,14 +304,13 @@ def fidelity_sweep(
             predicted = np.where(is_high, high_label, low_label)
             reports.append(confusion_metrics(truth, predicted, basis, t_read=t_read))
     else:
+        _check_dt(params, batch.dt)
         windows = [_window_samples(batch.dt, batch.n_samples, t) for t in t_read_list]
         ends = sorted(set(windows))
         if len(ends) > 1:
             gamma0 = start_posteriors_at(params, batch.samples, ends)
             classified = {n: _spin_labels(g) for n, g in zip(ends, gamma0)}
         else:
-            # one window: forward-backward costs about two forward passes,
-            # the joint forward one per start state with pi > 0
             classified = {
                 n: hmm_classify_batch(params, batch, t) for t, n in zip(t_read_list[:1], windows)
             }

@@ -470,3 +470,52 @@ class TestSnrAndEmit:
         assert code == 2
         assert "t_read" in err
         assert not (tmp_path / "plotdata.csv").exists()
+
+
+# (command, config given the path prefix of a labelled 1e-5 s bundle); each
+# is bad input that the library rejects with a ValueError
+_CAPACITANCE = {"family": "capacitance", "alpha_drt": 0.17, "t_electron_k": 0.090, "f_rf_hz": 576e6}
+_SWEEP = {"hmm": _hmm_dict(), "classifier": "hmm", "basis": "parity"}
+_BAD_INPUTS = {
+    "simulate_no_traces": ("simulate", lambda b: {
+        "hmm": _hmm_dict(), "n_traces": 0, "n_samples": 5, "seed": 1}),
+    "simulate_negative_background": ("simulate", lambda b: {
+        "hmm": _hmm_dict(), "n_traces": 5, "n_samples": 5, "seed": 1, "background_samples": -1}),
+    "emit_one_bin": ("emit", lambda b: {
+        "family": "histogram", "input": b, "t_read_s": 1e-4, "bins": 1}),
+    "emit_alpha_above_one": ("emit", lambda b: dict(_CAPACITANCE, alpha_drt=2)),
+    "emit_negative_points": ("emit", lambda b: dict(_CAPACITANCE, n_points=-3)),
+    "sweep_non_numeric_time": ("sweep", lambda b: dict(_SWEEP, input=b, t_read_s_list=["x"])),
+    "sweep_no_times": ("sweep", lambda b: dict(_SWEEP, input=b, t_read_s_list=[])),
+    "sweep_dt_mismatch": ("sweep", lambda b: dict(
+        _SWEEP, input=b, hmm=_hmm_dict(dt=4e-5), t_read_s_list=[1e-4, 2e-4])),
+    "classify_dt_mismatch": ("classify", lambda b: dict(
+        _SWEEP, input=b, hmm=_hmm_dict(dt=4e-5), t_read_s=1e-4)),
+    "fit_hmm_dt_mismatch": ("fit-hmm", lambda b: {"input": b, "init": _hmm_dict(dt=4e-5)}),
+    "fit_physics_binary_csv": ("fit-physics", lambda b: {
+        "model": "lz", "input_csv": b + ".f64", "init": [1e-26]}),
+}
+
+
+@pytest.fixture(scope="module")
+def labelled_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle")
+    config = _write_config(out, "sim.json", {
+        "hmm": _hmm_dict(), "n_traces": 100, "n_samples": 30, "output": "sim",
+    })
+    assert main(["simulate", "--config", config, "--seed", "2", "--out", str(out)]) == 0
+    return str(out / "sim")
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, labelled_bundle, case):
+    capsys.readouterr()
+    command, make_config = _BAD_INPUTS[case]
+    config = _write_config(tmp_path, "bad.json", make_config(labelled_bundle))
+    code = main([command, "--config", config, "--out", str(tmp_path / "out")])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), out.err
+    assert "Traceback" not in out.err

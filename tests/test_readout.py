@@ -12,6 +12,7 @@ from spinread.readout import (
     ReadoutBasis,
     confusion_metrics,
     fidelity_sweep,
+    hmm_classify,
     hmm_classify_batch,
     map_basis,
     optimal_threshold_empirical,
@@ -277,6 +278,46 @@ class TestFidelitySweep:
         batch = sr.TraceBatch(dt=1.0, samples=np.zeros((5, 4)))
         with pytest.raises(ValueError):
             fidelity_sweep(params, batch, [2.0], "hmm", ReadoutBasis.PARITY)
+
+
+    @pytest.mark.parametrize("classifier", ["threshold", "hmm"])
+    def test_empty_time_list_rejected(self, classifier):
+        params = sr.HmmParams.from_spin_model([0.5, 0, 0.5], sr.RateSet(0, 0), dt=1.0, std=0.5)
+        batch = sr.simulate_batch(params, 20, 4, seed=20)
+        with pytest.raises(ValueError, match="non-empty"):
+            fidelity_sweep(params, batch, [], classifier, ReadoutBasis.PARITY)
+
+    def test_threshold_ignores_the_hmm_dt(self):
+        params = sr.HmmParams.from_spin_model([0.5, 0, 0.5], sr.RateSet(0, 0), dt=1.0, std=0.5)
+        batch = sr.simulate_batch(params, 40, 4, seed=21)
+        other = sr.HmmParams.from_spin_model([0.5, 0, 0.5], sr.RateSet(0, 0), dt=4.0, std=0.5)
+        (a,) = fidelity_sweep(other, batch, [2.0], "threshold", ReadoutBasis.PARITY)
+        (b,) = fidelity_sweep(params, batch, [2.0], "threshold", ReadoutBasis.PARITY)
+        assert np.array_equal(a.confusion.counts, b.confusion.counts)
+
+
+# every HMM entry point that scores data with ``params``
+_SCORES_DATA = {
+    "forward_backward": lambda p, b: sr.forward_backward(p, b[0]),
+    "log_likelihood": lambda p, b: sr.log_likelihood(p, b),
+    "em_fit": lambda p, b: sr.em_fit(b, p, max_iter=2),
+    "hmm_classify": lambda p, b: hmm_classify(p, b[0]),
+    "hmm_classify_batch": lambda p, b: hmm_classify_batch(p, b),
+    "fidelity_sweep_one_window": lambda p, b: fidelity_sweep(p, b, [2e-5], "hmm", ReadoutBasis.PARITY),
+    "fidelity_sweep_one_pass": lambda p, b: fidelity_sweep(
+        p, b, [2e-5, 4e-5], "hmm", ReadoutBasis.PARITY),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SCORES_DATA))
+def test_hmm_dt_must_match_the_data(entry):
+    def params(dt):
+        return sr.HmmParams.from_spin_model([0.5, 0, 0.5], sr.RateSet(1e3, 0), dt=dt, std=0.5)
+
+    batch = sr.simulate_batch(params(1e-5), 30, 6, seed=22)
+    with pytest.raises(ValueError, match="does not match"):
+        _SCORES_DATA[entry](params(4e-5), batch)
+    _SCORES_DATA[entry](params(1e-5 * (1 + 1e-12)), batch)
 
 
 class TestHmmSweepOnePass:
