@@ -226,19 +226,23 @@ def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
     """Rows of finite numbers, all of one length; only the first line may be a header."""
     rows = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ConfigError(f"{path} line {lineno} is not numeric: {line!r}") from None
-            if (rows and len(row) != len(rows[0])) or not all(map(math.isfinite, row)):
-                raise ConfigError(f"{path} line {lineno} is not a full row of finite numbers")
-            rows.append(row)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not a UTF-8 text CSV file (byte {exc.start}: {exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise ConfigError(f"{path} line {lineno} is not numeric: {line!r}") from None
+        if (rows and len(row) != len(rows[0])) or not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path} line {lineno} is not a full row of finite numbers")
+        rows.append(row)
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] < min_cols:
         raise ConfigError(f"{path} must have at least {min_cols} numeric columns")
@@ -359,6 +363,7 @@ def _cmd_fit_hmm(config, seed, out_dir):
         "log_likelihoods": [float(v) for v in fit.log_likelihoods],
         "final_log_likelihood": fit.final_log_likelihood,
         "variance_floored": fit.variance_floored,
+        "iteration_seconds": [float(v) for v in fit.iteration_seconds],
     }
     path = os.path.join(out_dir, config["output"] + ".json")
     _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")

@@ -16,6 +16,7 @@ so (S,E) looks like a triplet and (T0,E)/(Tm,E) look like a singlet.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -444,9 +445,11 @@ def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, r
     rescaled so that the best of all six states has 1.
 
     yt is (T, n), one trace per column. Each distinct (mean, std) pair is
-    evaluated once. Returns b of shape (T, len(rows), n) and the per-trace
-    sum over steps of the log-scale shift that was subtracted, (n,), to be
-    added back to log-likelihoods.
+    evaluated once. Returns b of shape (T, len(rows), n), C-contiguous so
+    that each step's (k, n) slice is one block of memory whatever the
+    layout of yt (often a transposed view), and the per-trace sum over
+    steps of the log-scale shift that was subtracted, (n,), to be added
+    back to log-likelihoods.
     """
     pair_index = {}
     pair_of = np.array([
@@ -454,7 +457,7 @@ def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, r
         for pair in zip(means.tolist(), stds.tolist())
     ])
     mu, sd = np.array(list(pair_index)).T
-    b = yt[:, None, :] - mu[:, None]
+    b = np.subtract(yt[:, None, :], mu[:, None], order="C")
     b /= sd[:, None]
     b *= b
     b *= -0.5
@@ -464,41 +467,59 @@ def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, r
     np.exp(b, out=b)
     pick = pair_of[rows]
     if not np.array_equal(pick, np.arange(mu.size)):
-        b = b[:, pick]
+        # take keeps b C-contiguous; b[:, pick] would put the state axis
+        # outermost in memory
+        b = np.take(b, pick, axis=1)
     return b, shift.sum(axis=0)
+
+
+def _check_scales(c: np.ndarray) -> None:
+    """Raise ZeroLikelihoodError at the first step t whose scale c_t (n,)
+    is not > 0 for some trace. A vanished step leaves nan in every later
+    scale of that trace, and nan is not > 0 either, so one check after a
+    pass finds the step a per-step check would have stopped at."""
+    bad = ~(c > 0.0)
+    if bad.any():
+        raise ZeroLikelihoodError(int(bad.any(axis=1).argmax()))
 
 
 def _forward(pi: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Scaled forward recursion (Rabiner 1989) over b from _emission_likelihoods.
 
-    Yields, for t = 0 .. T-1, the normalised forward variable alpha_t
-    (k, n), a fresh array each step, and its scale c_t (n,). The
-    log-likelihood is the sum of log c_t plus the emission shift.
+    Returns the normalised forward variables alpha (T, k, n) and their
+    scales c (T, n); the log-likelihood is the sum of log c_t plus the
+    emission shift. Four numpy calls per step; the scales are checked
+    once, after the loop (:func:`_check_scales`).
     """
     a_t = a.T
-    alpha = pi[:, None] * b[0]
-    for t in range(b.shape[0]):
-        if t > 0:
-            alpha = (a_t @ alpha) * b[t]
-        c = alpha.sum(axis=0)
-        if c.min() <= 0.0:
-            raise ZeroLikelihoodError(t)
-        alpha /= c
-        yield alpha, c
+    alphas = np.empty(b.shape)
+    c = np.empty((b.shape[0], b.shape[2]))
+    alpha = np.multiply(pi[:, None], b[0], out=alphas[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(b.shape[0]):
+            if t > 0:
+                alpha = np.matmul(a_t, alpha, out=alphas[t])
+                alpha *= b[t]
+            alpha.sum(axis=0, out=c[t])
+            alpha /= c[t]
+    _check_scales(c)
+    return alphas, c
 
 
-def _backward(a: np.ndarray, b: np.ndarray, c):
-    """Scaled backward recursion with the forward scales c_t, indexed by t.
+def _backward(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Scaled backward recursion with the forward scales c (T, n).
 
     Yields (t, beta_t, w_t) for t = T-1 down to 0: the scaled backward
     variable beta_t (k, n) and w_t = b_t beta_t / c_t, so that
     beta_{t-1} = a @ w_t, the posterior is alpha_t beta_t and the expected
     transition counts from step t-1 are alpha_{t-1}(i) a(i, j) w_t(j).
+    Spends b: it is divided by c in place, once, and w_t is written over
+    b_t, so a step costs two numpy calls.
     """
+    b /= c[:, None, :]
     beta = np.ones(b.shape[1:])
     for t in range(b.shape[0] - 1, -1, -1):
-        w = beta * b[t]
-        w /= c[t]
+        w = np.multiply(beta, b[t], out=b[t])
         yield t, beta, w
         beta = a @ w
 
@@ -515,8 +536,7 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     b, shift = _emission_likelihoods(
         trace.samples[:n_window, np.newaxis], params.emissions.means, params.emissions.stds, live
     )
-    alphas, c = zip(*_forward(pi, a, b))
-    gammas = np.array(alphas)
+    gammas, c = _forward(pi, a, b)
     for t, beta, _ in _backward(a, b, c):
         gammas[t] *= beta
     probs = np.zeros((n_window, N_STATES))
@@ -537,22 +557,15 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
     """Smoothed time-zero posterior for every row of ``samples``.
 
     Returns (gamma0, log_lik) with shapes (n, 6) and (n,). Matches
-    :func:`forward_backward` at step 0 but streams the backward pass, so
-    only O(chunk * n_samples) memory is used.
+    :func:`forward_backward` at step 0. It is the joint pass of
+    :func:`start_posteriors_at` over one window, the whole trace, so no
+    backward pass is run and only O(chunk * n_samples) memory is used.
     """
     y = _sample_matrix(samples)
-    live, pi, a = _live_chain(params.pi, params.a)
     gamma0 = np.zeros((y.shape[0], N_STATES))
     log_lik = np.empty(y.shape[0])
-    for sl in _trace_chunks(*y.shape):
-        b, shift = _emission_likelihoods(
-            y[sl].T, params.emissions.means, params.emissions.stds, live
-        )
-        c = [c_t for _, c_t in _forward(pi, a, b)]
-        for _, beta, _ in _backward(a, b, c):
-            pass
-        g0 = pi[:, None] * b[0] * beta
-        gamma0[sl, live] = (g0 / g0.sum(axis=0)).T
+    for sl, g0, c, shift in _joint_pass(params, y, [y.shape[1]]):
+        gamma0[sl] = g0[0]
         log_lik[sl] = np.log(c).sum(axis=0) + shift
     return gamma0, log_lik
 
@@ -562,19 +575,35 @@ def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> 
 
     Entry k of the (len(window_ends), n, 6) result is the posterior given
     the first ``window_ends[k]`` samples, i.e. ``start_posterior_batch``
-    on ``samples[:, :window_ends[k]]``. Fixed-point smoothing (Cappé,
-    Moulines & Rydén 2005): one forward pass over the longest window
-    carries the joint forward variable J_t(s, s0), proportional to
-    P(s_t = s, s_0 = s0, y_0..t), whose sum over s is the time-zero
-    posterior of the window ending at t. Only live states are carried
-    (:func:`_live_states`), and start states with pi = 0 stay exactly zero
-    and are not carried either, so a pass costs about one forward pass over
-    the live states per start state with pi > 0.
+    on ``samples[:, :window_ends[k]]``, from one joint pass over the
+    longest window (:func:`_joint_pass`).
     """
     y = _sample_matrix(samples)
     ends = [int(e) for e in window_ends]
     if not ends or min(ends) < 1 or max(ends) > y.shape[1]:
         raise ValueError("window ends must be non-empty and within 1..n_samples")
+    out = np.zeros((len(ends), y.shape[0], N_STATES))
+    for sl, g0, _, _ in _joint_pass(params, y, ends):
+        out[:, sl] = g0
+    return out
+
+
+def _joint_pass(params: HmmParams, y: np.ndarray, ends: list[int]):
+    """Time-zero posteriors at each window end, one chunk of traces at a time.
+
+    Fixed-point smoothing (Cappé, Moulines & Rydén 2005): one forward pass
+    over the longest window carries the joint forward variable J_t(s, s0),
+    proportional to P(s_t = s, s_0 = s0, y_0..t), whose sum over s is the
+    time-zero posterior of the window ending at t. Only live states are
+    carried (:func:`_live_states`), and start states with pi = 0 stay
+    exactly zero and are not carried either, so a pass costs about one
+    forward pass over the live states per start state with pi > 0.
+
+    Yields, per chunk, (rows, posteriors (len(ends), n_chunk, 6), c,
+    shift): the per-step scales c (T, n_chunk) of J are the forward
+    scales, so sum_t log c_t + shift is the log-likelihood of the longest
+    window.
+    """
     live, pi, a = _live_chain(params.pi, params.a)
     start = np.flatnonzero(pi > 0.0)
     k_live, m = live.size, start.size
@@ -583,30 +612,31 @@ def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> 
         read_at.setdefault(e - 1, []).append(k)
     t_len = max(ends)
     a_t = a.T
-    out = np.zeros((len(ends), y.shape[0], N_STATES))
     for sl in _trace_chunks(y.shape[0], t_len):
-        b, _ = _emission_likelihoods(
+        b, shift = _emission_likelihoods(
             y[sl, :t_len].T, params.emissions.means, params.emissions.stds, live
         )
         n = b.shape[2]
+        out = np.zeros((len(ends), n, N_STATES))
+        c = np.empty((t_len, n))
         # state-major (k_live, m, n): row s_t, then start state, then trace
         joint = np.zeros((k_live, m, n))
         joint[start, np.arange(m)] = pi[start, None] * b[0, start]
-        for t in range(t_len):
-            if t > 0:
-                # the per-trace normalisation of step t-1, over both s and
-                # s0, rides on step t's emission factor: one pass less
-                joint = (a_t @ joint.reshape(k_live, m * n)).reshape(k_live, m, n)
-                joint *= (b[t] / c)[:, None, :]
-            c = joint.reshape(k_live * m, n).sum(axis=0)
-            if c.min() <= 0.0:
-                raise ZeroLikelihoodError(t)
-            if t in read_at:
-                g0 = joint.sum(axis=0)
-                g0 /= g0.sum(axis=0)
-                for k in read_at[t]:
-                    out[k, sl][:, live[start]] = g0.T
-    return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(t_len):
+                if t > 0:
+                    # the per-trace normalisation of step t-1, over both s
+                    # and s0, rides on step t's emission factor: one pass less
+                    joint = (a_t @ joint.reshape(k_live, m * n)).reshape(k_live, m, n)
+                    joint *= (b[t] / c[t - 1])[:, None, :]
+                joint.reshape(k_live * m, n).sum(axis=0, out=c[t])
+                if t in read_at:
+                    g0 = joint.sum(axis=0)
+                    g0 /= g0.sum(axis=0)
+                    for k in read_at[t]:
+                        out[k][:, live[start]] = g0.T
+        _check_scales(c)
+        yield sl, out, c, shift
 
 
 def brute_force_posterior(params: HmmParams, trace: Trace) -> Posterior:
@@ -658,15 +688,20 @@ def log_likelihood(params: HmmParams, batch: TraceBatch) -> float:
     if batch.n_traces == 0:
         raise ValueError("batch must be non-empty")
     _check_dt(params, batch.dt)
-    live, pi, a = _live_chain(params.pi, params.a)
+    chain = _live_chain(params.pi, params.a)
     total = 0.0
     for sl in _trace_chunks(batch.n_traces, batch.n_samples):
-        b, shift = _emission_likelihoods(
-            batch.samples[sl].T, params.emissions.means, params.emissions.stds, live
-        )
-        c = [c_t for _, c_t in _forward(pi, a, b)]
-        total += float(np.log(c).sum() + shift.sum())
+        total += _forward_chunk(params, chain, batch.samples[sl].T)[1]
     return total
+
+
+def _forward_chunk(params: HmmParams, chain, yt: np.ndarray):
+    """Forward pass of the live ``chain`` = (live, pi, a) over one chunk yt
+    (T, n): ((yt, b, alphas, c), the chunk's log-likelihood)."""
+    live, pi, a = chain
+    b, shift = _emission_likelihoods(yt, params.emissions.means, params.emissions.stds, live)
+    alphas, c = _forward(pi, a, b)
+    return (yt, b, alphas, c), float(np.log(c).sum() + shift.sum())
 
 
 def _check_dt(params: HmmParams, dt: float) -> None:
@@ -728,6 +763,30 @@ def _rates_from_counts(xi: np.ndarray, dt: float, rates: RateSet, freeze_tlf_rat
     )
 
 
+def _smoothed_statistics(a, yt, b, alphas, c, centres):
+    """One chunk's E-step sums, from its forward pass: (pi, xi, moments).
+
+    Runs the backward pass, turning alphas into the posteriors gamma in
+    place (and spending b). pi is the time-zero occupancy (k,); xi (k, k)
+    the expected transition counts without the factor a(i, j), applied
+    once by the caller. moments (k, 3) holds, per live state s, the sums
+    over the chunk of gamma, gamma * d and gamma * d^2, where d is the
+    sample's deviation from ``centres[s]``.
+    """
+    k = b.shape[1]
+    step_xi = np.empty((b.shape[0], k, k))
+    for t, beta, w in _backward(a, b, c):
+        if t > 0:
+            np.matmul(alphas[t - 1], w.T, out=step_xi[t])
+        np.multiply(alphas[t], beta, out=alphas[t])
+    gamma = alphas
+    moments = np.empty((k, 3))
+    for s, centre in enumerate(centres):
+        g, d = gamma[:, s], np.subtract(yt, centre, order="C")
+        moments[s] = g.sum(), np.einsum("tn,tn->", g, d), np.einsum("tn,tn,tn->", g, d, d)
+    return gamma[0].sum(axis=1), step_xi[1:].sum(axis=0), moments
+
+
 @dataclass
 class EmFitResult:
     params: HmmParams
@@ -738,6 +797,8 @@ class EmFitResult:
     # log-likelihood of ``params`` itself; None if every state's
     # likelihood vanishes somewhere under them
     final_log_likelihood: float | None = None
+    # wall time of each iteration (E-step, convergence test and M-step)
+    iteration_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def em_fit(
@@ -757,11 +818,15 @@ def em_fit(
     keeps the generator's structural zeros and the returned parameters are
     a model the iteration can score. With ``tie_emissions`` the six states
     share two means (one per charge configuration) and a single std;
-    untied mode fits per-state means and stds, from moments taken about
-    the previous means. ``freeze_tlf_rates`` keeps the fluctuator rates of
-    ``init`` at every iteration. ``init.dt`` must be the batch's dt.
+    untied mode fits per-state means and stds. Either way the moments are
+    taken about the previous means (of each charge group, tied; of each
+    state, untied), so a std that is small against its mean keeps its
+    digits. ``freeze_tlf_rates`` keeps the fluctuator rates of ``init`` at
+    every iteration. ``init.dt`` must be the batch's dt.
 
-    A converged fit returns the parameters its last E-step scored, so
+    The last trace chunk is smoothed only after the convergence test, so a
+    converged E-step on one chunk runs the forward pass alone. A converged
+    fit returns the parameters its last E-step scored, so
     ``final_log_likelihood`` is the last entry of ``log_likelihoods``. A
     fit stopped at ``max_iter`` returns one more M-step's parameters and
     scores them with one more forward pass (None if their likelihood
@@ -773,53 +838,43 @@ def em_fit(
     y = batch.samples
     n, t_len = y.shape
     dt = batch.dt
+    groups = [list(SINGLET_SIGNAL_STATES), list(TRIPLET_SIGNAL_STATES)]
+    # emission moments are taken about the previous mean of each state,
+    # untied, or of its charge group's first state, tied
+    centre_of = np.arange(N_STATES)
+    if tie_emissions:
+        for g in groups:
+            centre_of[g] = g[0]
 
     params = init
     lls = []
+    stamps = []
     converged = False
     floored = False
     var_floor = 1e-12
 
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
+        stamps.append(time.perf_counter())
         means, stds = params.emissions.means, params.emissions.stds
-        live, pi_live, a_live = _live_chain(params.pi, params.a)
-        centres = means[live, None]
-        k = live.size
-        pi_sum = np.zeros(k)
-        xi_sum = np.zeros((k, k))
-        # columns: sum of gamma, of gamma * y and of gamma * y^2; untied,
-        # of gamma * (y - mu) and gamma * (y - mu)^2 about each state's
-        # previous mean mu, so that a small std does not cancel against a
-        # large mean
-        moments = np.zeros((k, 3))
+        chain = _live_chain(params.pi, params.a)
+        live, _, a_live = chain
+        centres = means[centre_of[live]]
+        stats = []
         ll_total = 0.0
-
+        held = None  # the latest chunk's forward pass, not yet smoothed
         for sl in _trace_chunks(n, t_len):
-            yt = y[sl].T
-            b, shift = _emission_likelihoods(yt, means, stds, live)
-            alphas, c = zip(*_forward(pi_live, a_live, b))
-            ll_total += float(np.log(c).sum() + shift.sum())
-
-            if tie_emissions:
-                powers = np.stack([np.ones_like(yt), yt, yt * yt], axis=-1)
-            step_moments = np.empty((t_len, k, 3))
-            step_xi = np.empty((t_len, k, k))
-            for t, beta, w in _backward(a_live, b, c):
-                gamma = alphas[t] * beta
-                if tie_emissions:
-                    np.matmul(gamma, powers[t], out=step_moments[t])
-                else:
-                    dev = yt[t] - centres
-                    dev_gamma = dev * gamma
-                    gamma.sum(axis=1, out=step_moments[t, :, 0])
-                    dev_gamma.sum(axis=1, out=step_moments[t, :, 1])
-                    np.einsum("kn,kn->k", dev_gamma, dev, out=step_moments[t, :, 2])
-                if t > 0:
-                    np.matmul(alphas[t - 1], w.T, out=step_xi[t])
-            pi_sum += gamma.sum(axis=1)  # the backward pass ends at t = 0
-            moments += step_moments.sum(axis=0)
-            xi_sum += step_xi[1:].sum(axis=0)
+            if held is not None:
+                stats.append(_smoothed_statistics(a_live, *held, centres))
+                held = None
+            held, ll = _forward_chunk(params, chain, y[sl].T)
+            ll_total += ll
+        lls.append(ll_total)
+        if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
+            converged = True
+            break
+        stats.append(_smoothed_statistics(a_live, *held, centres))
+        pi_sum, xi_sum, moments = (sum(parts) for parts in zip(*stats))
 
         # back to all six states; the others have no mass. xi entries lack
         # the factor a(i, j) of each expected transition; apply it once
@@ -831,24 +886,23 @@ def em_fit(
         w_acc, m1_acc, m2_acc = np.zeros((3, N_STATES))
         w_acc[live], m1_acc[live], m2_acc[live] = moments.T
 
-        lls.append(ll_total)
-        if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
-            converged = True
-            break
-
         pi = pi_acc / pi_acc.sum()
         rates = _rates_from_counts(xi_acc, dt, params.rates, freeze_tlf_rates)
 
         if not freeze_emissions:
             if tie_emissions:
+                # moments are about each group's previous mean, so the
+                # pooled variance is sum over groups of m2 - offset * m1
                 new_means = means.copy()
-                for group in (SINGLET_SIGNAL_STATES, TRIPLET_SIGNAL_STATES):
-                    g = list(group)
-                    wg = w_acc[g].sum()
+                var = 0.0
+                for g in groups:
+                    wg, m1g, m2g = w_acc[g].sum(), m1_acc[g].sum(), m2_acc[g].sum()
                     if wg > 1e-300:
-                        new_means[g] = m1_acc[g].sum() / wg
-                w_tot = w_acc.sum()
-                var = (m2_acc - 2.0 * new_means * m1_acc + new_means**2 * w_acc).sum() / w_tot
+                        offset = m1g / wg
+                        new_means[g] = means[g[0]] + offset
+                        m2g -= offset * m1g
+                    var += m2g
+                var /= w_acc.sum()
                 if var < var_floor:
                     var = var_floor
                     floored = True
@@ -866,6 +920,7 @@ def em_fit(
         params = HmmParams(
             pi=pi, rates=rates, dt=dt, emissions=EmissionModel(means=means, stds=stds)
         )
+    stamps.append(time.perf_counter())
 
     if converged:
         final_ll = lls[-1]
@@ -881,4 +936,5 @@ def em_fit(
         n_iterations=n_iter,
         variance_floored=floored,
         final_log_likelihood=final_ll,
+        iteration_seconds=np.diff(stamps),
     )

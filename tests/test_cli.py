@@ -330,6 +330,20 @@ class TestFitCommands:
         assert report is None
         assert "line 6" in err
 
+    def test_binary_csv_names_the_file(self, tmp_path, capsys):
+        # float64 bytes, as in a trace bundle's .f64, are not UTF-8 text
+        path = tmp_path / "traces.f64"
+        path.write_bytes(np.array([1e-5, 0.3, 2.5]).tobytes())
+        config = _write_config(tmp_path, "fit.json", {
+            "model": "lz", "input_csv": str(path), "init": [1e-26], "output": "fit",
+        })
+        code, report, err = _run(capsys, ["fit-physics", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert report is None
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: {path} is not a UTF-8 text CSV file (byte 0: ")
+
     def test_fit_hmm_non_convergence_exit_code(self, tmp_path, capsys):
         sim = _write_config(tmp_path, "sim.json", {
             "hmm": _hmm_dict(), "n_traces": 50, "n_samples": 15, "output": "sim",
@@ -358,6 +372,25 @@ class TestFitCommands:
         params = HmmParams.from_dict(payload["hmm"])
         batch = TraceBundle.load(str(tmp_path / "sim")).to_batch()
         assert payload["final_log_likelihood"] == log_likelihood(params, batch)
+
+    def test_fit_hmm_reports_iteration_seconds(self, tmp_path, capsys):
+        sim = _write_config(tmp_path, "sim.json", {
+            "hmm": _hmm_dict(), "n_traces": 50, "n_samples": 15, "output": "sim",
+        })
+        _run(capsys, ["simulate", "--config", sim, "--seed", "3", "--out", str(tmp_path)])
+        fit = _write_config(tmp_path, "fit.json", {
+            "input": str(tmp_path / "sim"), "init": _hmm_dict(), "output": "fitted",
+        })
+        code, _, _ = _run(capsys, ["fit-hmm", "--config", fit, "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "fitted.json").read_text())
+        # the per-iteration wall times follow the keys that were there before
+        assert list(payload) == [
+            "hmm", "converged", "n_iterations", "log_likelihoods", "final_log_likelihood",
+            "variance_floored", "iteration_seconds",
+        ]
+        seconds = payload["iteration_seconds"]
+        assert len(seconds) == payload["n_iterations"] and all(s > 0.0 for s in seconds)
 
     def test_fit_histogram_command(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -299,9 +299,104 @@ def test_zero_likelihood_step_reported_by_batch_paths(run):
     assert err.value.step == 2
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p, y: start_posterior_batch(p, y),
+        lambda p, y: start_posteriors_at(p, y, [3, 1]),
+        lambda p, y: sr.log_likelihood(p, sr.TraceBatch(dt=1.0, samples=y)),
+        lambda p, y: sr.em_fit(sr.TraceBatch(dt=1.0, samples=y), p),
+    ],
+    ids=["start_posterior_batch", "start_posteriors_at", "log_likelihood", "em_fit"],
+)
+def test_zero_likelihood_step_of_a_later_chunk(monkeypatch, run):
+    # one trace per chunk: the first is fine, the second vanishes at step 1
+    # and the third, never reached, at step 0
+    monkeypatch.setattr(markov, "_CHUNK_ELEMENTS", N_STATES * 3)
+    samples = np.array([[0.0, 0.0, 0.0], [0.0, 1e6, 0.0], [1e6, 0.0, 0.0]])
+    assert len(list(markov._trace_chunks(*samples.shape))) == 3
+    with pytest.raises(ZeroLikelihoodError) as err:
+        run(_unreachable_params(), samples)
+    assert err.value.step == 1
+
+
+def _parent_start_posterior_batch(params, samples):
+    """The time-zero posterior as start_posterior_batch computed it before
+    the joint pass: a scaled forward pass, then a scaled backward pass, over
+    all six states and the whole batch at once."""
+    b, shift = _per_state_emissions(samples.T, params.emissions.means, params.emissions.stds)
+    a = params.a
+    alpha = params.pi[:, None] * b[0]
+    c = []
+    for t in range(b.shape[0]):
+        if t > 0:
+            alpha = (a.T @ alpha) * b[t]
+        c.append(alpha.sum(axis=0))
+        alpha = alpha / c[-1]
+    beta = np.ones(b.shape[1:])
+    for t in range(b.shape[0] - 1, 0, -1):
+        w = beta * b[t]
+        w /= c[t]
+        beta = a @ w
+    g0 = params.pi[:, None] * b[0] * beta
+    return (g0 / g0.sum(axis=0)).T, np.log(c).sum(axis=0) + shift
+
+
+class TestStartPosteriorBatchAgainstForwardBackward:
+    """Old-vs-new: the joint pass that start_posterior_batch now runs
+    against the forward-backward formula it replaced."""
+
+    def _check(self, params, samples, atol=0.0):
+        gamma0, ll = start_posterior_batch(params, samples)
+        gamma0_ref, ll_ref = _parent_start_posterior_batch(params, samples)
+        np.testing.assert_allclose(gamma0, gamma0_ref, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(ll, ll_ref, rtol=1e-12, atol=0)
+        return gamma0
+
+    def test_random_params_with_switching(self):
+        rng = np.random.default_rng(68)
+        for _ in range(3):
+            params = _random_params(rng)
+            assert np.all(params.pi > 0) and params.rates.tlf_up > 0 and params.rates.tlf_down > 0
+            for t_len in (1, 2, 30):
+                self._check(params, rng.uniform(-1, 2, (40, t_len)))
+
+    def test_start_posteriors_at_each_window(self):
+        rng = np.random.default_rng(69)
+        # (params, samples, window ends, atol for subnormal posteriors)
+        cases = [
+            (_random_params(rng), rng.uniform(-1, 2, (25, 20)), [20, 1, 6, 13], 0.0),
+            (_reference_params(), sr.simulate_batch(_reference_params(), 100, 400, seed=61).samples,
+             [2, 3, 5, 8, 12, 17, 25, 34, 50, 85, 120, 170, 250, 330, 400], 1e-290),
+        ]
+        for params, samples, ends, atol in cases:
+            got = start_posteriors_at(params, samples, ends)
+            for g, e in zip(got, ends):
+                np.testing.assert_allclose(
+                    g, _parent_start_posterior_batch(params, samples[:, :e])[0],
+                    rtol=1e-12, atol=atol,
+                )
+
+    def test_reference_point(self):
+        params = _reference_params()
+        samples = sr.simulate_batch(params, 300, 400, seed=61).samples
+        # posteriors below ~1e-290 pass through the subnormal range, as in
+        # TestStartPosteriorsAt
+        gamma0 = self._check(params, samples, atol=1e-290)
+        assert np.all(gamma0[:, 3:] == 0.0)
+
+    def test_three_chunks(self, monkeypatch):
+        params = _reference_params()
+        samples = sr.simulate_batch(params, 300, 400, seed=61).samples
+        monkeypatch.setattr(markov, "_CHUNK_ELEMENTS", 100 * N_STATES * 400)
+        assert len(list(markov._trace_chunks(*samples.shape))) == 3
+        self._check(params, samples, atol=1e-290)
+
+
 class TestStartPosteriorsAt:
-    """Old-vs-new: one joint forward pass against the per-window
-    forward-backward of start_posterior_batch at every window end."""
+    """One joint pass over the longest window against start_posterior_batch
+    on each window alone (TestStartPosteriorBatchAgainstForwardBackward
+    holds both to the forward-backward formula)."""
 
     def _per_window(self, params, samples, ends):
         return np.array([start_posterior_batch(params, samples[:, :e])[0] for e in ends])
@@ -611,7 +706,7 @@ class TestLiveStates:
         assert np.all(params.pi[3:] == 0.0)
         np.testing.assert_array_equal(markov._live_states(params.pi, params.a), np.arange(6))
         # six live rows, three start states: the one-pass sweep still
-        # matches forward-backward per window
+        # matches start_posterior_batch per window
         samples = sr.simulate_batch(params, 20, 30, seed=67).samples
         ends = [1, 4, 17, 30]
         np.testing.assert_allclose(
@@ -797,6 +892,92 @@ class TestEmFit:
         np.testing.assert_allclose(p.emissions.means, oracle["means"], rtol=1e-13)
         np.testing.assert_allclose(p.pi, oracle["pi"], rtol=1e-11)
         np.testing.assert_allclose([p.rates.gamma_t0, p.rates.gamma_tm], oracle["decays"], rtol=1e-11)
+
+    def test_tied_moments_match_two_pass_oracle(self):
+        # the tied twin of the untied test: charge levels 1000 and 1000.1,
+        # one std of 0.01, so E[y^2] - mu^2 would cancel here too
+        truth = sr.HmmParams.from_spin_model(
+            [0.3, 0.3, 0.4], sr.RateSet(1e4, 3e3, 4e3, 6e3), dt=1e-5,
+            v_singlet=1000.0, v_triplet=1000.1, std=0.01, tlf_excited_prob=0.3,
+        )
+        batch = sr.simulate_batch(truth, 30, 20, seed=25)
+        fit = sr.em_fit(batch, truth, max_iter=1)
+        oracle = _m_step_oracle(truth, batch, tie_emissions=True)
+        p = fit.params
+        np.testing.assert_allclose(p.emissions.stds, oracle["stds"], rtol=1e-9)
+        np.testing.assert_allclose(p.emissions.means, oracle["means"], rtol=1e-13)
+        np.testing.assert_allclose(p.pi, oracle["pi"], rtol=1e-11)
+        np.testing.assert_allclose([p.rates.gamma_t0, p.rates.gamma_tm], oracle["decays"], rtol=1e-11)
+
+    def test_iteration_seconds(self):
+        truth = _reference_params()
+        batch = sr.simulate_batch(truth, 20, 50, seed=76)
+        for max_iter in (1, 3, 500):
+            fit = sr.em_fit(batch, truth, max_iter=max_iter)
+            assert fit.iteration_seconds.shape == (fit.n_iterations,)
+            assert np.all(fit.iteration_seconds > 0.0)
+
+
+def _reference_fit_inputs():
+    """Criterion-6-style start at the reference point: rates off by 1.5x /
+    0.5x, flat preparation; 100 x 300 traces converge in 5 iterations."""
+    truth = _reference_params()
+    init = sr.HmmParams.from_spin_model(
+        [1 / 3, 1 / 3, 1 / 3], sr.RateSet(1.5 / 170e-6, 0.5 / 290e-3), dt=truth.dt,
+        std=0.7, v_singlet=-0.05, v_triplet=1.05,
+    )
+    return sr.simulate_batch(truth, 100, 300, seed=74), init
+
+
+class TestEmSmoothing:
+    """The E-step smooths its last trace chunk only after the convergence
+    test; chunking changes nothing but rounding."""
+
+    def _counting_backward(self, monkeypatch):
+        calls = []
+        backward = markov._backward
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return backward(*args)
+
+        monkeypatch.setattr(markov, "_backward", counted)
+        return calls
+
+    def test_converged_step_runs_no_backward_pass(self, monkeypatch):
+        batch, init = _reference_fit_inputs()
+        calls = self._counting_backward(monkeypatch)
+        fit = sr.em_fit(batch, init)
+        assert fit.converged and fit.n_iterations == 5
+        assert len(calls) == fit.n_iterations - 1
+
+    def test_stopped_fit_smooths_every_step(self, monkeypatch):
+        batch, init = _reference_fit_inputs()
+        calls = self._counting_backward(monkeypatch)
+        fit = sr.em_fit(batch, init, max_iter=3)
+        assert not fit.converged and len(calls) == 3
+
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_several_chunks_equal_one(self, monkeypatch, tie):
+        batch, init = _reference_fit_inputs()
+        whole = sr.em_fit(batch, init, tie_emissions=tie)
+        # 40 traces per chunk at 300 samples: three chunks
+        monkeypatch.setattr(markov, "_CHUNK_ELEMENTS", 40 * N_STATES * 300)
+        assert len(list(markov._trace_chunks(*batch.samples.shape))) == 3
+        calls = self._counting_backward(monkeypatch)
+        chunked = sr.em_fit(batch, init, tie_emissions=tie)
+        assert chunked.n_iterations == whole.n_iterations and chunked.converged
+        # the converged step smooths every chunk but the last
+        assert len(calls) == 3 * (chunked.n_iterations - 1) + 2
+        rtol = dict(rtol=1e-12, atol=0)
+        np.testing.assert_allclose(chunked.log_likelihoods, whole.log_likelihoods, **rtol)
+        p, q = chunked.params, whole.params
+        np.testing.assert_allclose(p.pi, q.pi, **rtol)
+        np.testing.assert_allclose(p.emissions.means, q.emissions.means, **rtol)
+        np.testing.assert_allclose(p.emissions.stds, q.emissions.stds, **rtol)
+        np.testing.assert_allclose(
+            [p.rates.gamma_t0, p.rates.gamma_tm], [q.rates.gamma_t0, q.rates.gamma_tm], **rtol
+        )
 
 
 @pytest.mark.parametrize("seed", [80, 81, 82])

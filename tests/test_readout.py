@@ -322,7 +322,8 @@ def test_hmm_dt_must_match_the_data(entry):
 
 class TestHmmSweepOnePass:
     """The HMM sweep reads every window end off one joint forward pass;
-    each report must equal the per-window forward-backward classification."""
+    each report must equal hmm_classify_batch's classification of that
+    window alone."""
 
     DT = 10e-6
     # the benchmark's 15 readout times
