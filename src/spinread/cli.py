@@ -215,11 +215,21 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(out_dir: str, config: dict, header: list[str], rows) -> str:
+    """Write ``<out_dir>/<output>.csv`` atomically; returns its path."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    path = os.path.join(out_dir, config["output"] + ".csv")
     _atomic_write_text(path, "\n".join(lines) + "\n")
+    return path
+
+
+def _write_json(out_dir: str, config: dict, payload: dict) -> str:
+    """Write ``<out_dir>/<output>.json`` atomically; returns its path."""
+    path = os.path.join(out_dir, config["output"] + ".json")
+    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    return path
 
 
 def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
@@ -247,16 +257,6 @@ def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] < min_cols:
         raise ConfigError(f"{path} must have at least {min_cols} numeric columns")
     return data
-
-
-def _metric_rows(reports, classifier: str, basis: ReadoutBasis) -> list[list]:
-    rows = []
-    for rep in reports:
-        recalls = [rep.recall_per_state[map_basis(s, basis)] for s in SpinState]
-        rows.append(
-            [rep.t_read, classifier, basis.value, rep.f_m, rep.v_m, *recalls, rep.n_traces]
-        )
-    return rows
 
 
 _SWEEP_HEADER = [
@@ -303,20 +303,23 @@ def _cmd_preprocess(config, seed, out_dir):
     return {"window": config["window"], "corrected": True}, outputs
 
 
-def _sweep_common(config, t_read_values):
+def _sweep_common(config, t_read_values, out_dir):
+    """(reports, path of the CSV written from them)."""
     bundle = _require_bundle(config["input"])
     params = _hmm_from_config(config["hmm"])
     basis = ReadoutBasis(config["basis"])
     classifier = config["classifier"]
     reports = fidelity_sweep(params, bundle.to_batch(), t_read_values, classifier, basis)
-    return reports, classifier, basis
+    rows = [
+        [rep.t_read, classifier, basis.value, rep.f_m, rep.v_m,
+         *(rep.recall_per_state[map_basis(s, basis)] for s in SpinState), rep.n_traces]
+        for rep in reports
+    ]
+    return reports, _write_csv(out_dir, config, _SWEEP_HEADER, rows)
 
 
 def _cmd_classify(config, seed, out_dir):
-    reports, classifier, basis = _sweep_common(config, [config["t_read_s"]])
-    rows = _metric_rows(reports, classifier, basis)
-    csv_path = os.path.join(out_dir, config["output"] + ".csv")
-    _write_csv(csv_path, _SWEEP_HEADER, rows)
+    reports, csv_path = _sweep_common(config, [config["t_read_s"]], out_dir)
     rep = reports[0]
     results = {
         "f_m": rep.f_m,
@@ -331,12 +334,9 @@ def _cmd_classify(config, seed, out_dir):
 
 def _cmd_sweep(config, seed, out_dir):
     t_reads = [float(t) for t in config["t_read_s_list"]]
-    reports, classifier, basis = _sweep_common(config, t_reads)
-    rows = _metric_rows(reports, classifier, basis)
-    csv_path = os.path.join(out_dir, config["output"] + ".csv")
-    _write_csv(csv_path, _SWEEP_HEADER, rows)
+    reports, csv_path = _sweep_common(config, t_reads, out_dir)
     results = {
-        "n_points": len(rows),
+        "n_points": len(reports),
         "f_m": [r.f_m for r in reports],
         "ties": [r.n_ties for r in reports],
     }
@@ -365,8 +365,7 @@ def _cmd_fit_hmm(config, seed, out_dir):
         "variance_floored": fit.variance_floored,
         "iteration_seconds": [float(v) for v in fit.iteration_seconds],
     }
-    path = os.path.join(out_dir, config["output"] + ".json")
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    path = _write_json(out_dir, config, payload)
     results = {"converged": fit.converged, "n_iterations": fit.n_iterations}
     if not fit.converged:
         raise NonConvergenceError("EM did not converge", results, [path])
@@ -394,8 +393,7 @@ def _cmd_fit_histogram(config, seed, out_dir):
             "status": fit.status,
         },
     }
-    path = os.path.join(out_dir, config["output"] + ".json")
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    path = _write_json(out_dir, config, payload)
     results = {"converged": fit.converged, "residual_norm": fit.residual_norm}
     if not fit.converged:
         raise NonConvergenceError("histogram fit did not converge", results, [path])
@@ -419,8 +417,7 @@ def _cmd_fit_physics(config, seed, out_dir):
         "converged": fit.converged,
         "status": fit.status,
     }
-    path = os.path.join(out_dir, config["output"] + ".json")
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    path = _write_json(out_dir, config, payload)
     results = {"converged": fit.converged, "residual_norm": fit.residual_norm}
     if not fit.converged:
         raise NonConvergenceError("physics fit did not converge", results, [path])
@@ -441,20 +438,14 @@ def _cmd_snr(config, seed, out_dir):
             "means": [[float(v) for v in m] for m in proj.means],
             "weights": [float(w) for w in proj.weights],
         }
-        path = os.path.join(out_dir, config["output"] + ".json")
-        _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-        return {"snr": proj.snr}, [path]
+        return {"snr": proj.snr}, [_write_json(out_dir, config, payload)]
     if mode == "scaling":
         if not config["input"] or not config["t_read_s_list"]:
             raise ConfigError("snr mode 'scaling' requires input and t_read_s_list")
         bundle = _require_bundle(config["input"])
         res = noise_scaling(bundle, [float(t) for t in config["t_read_s_list"]])
-        csv_path = os.path.join(out_dir, config["output"] + ".csv")
-        _write_csv(
-            csv_path,
-            ["t_read_s", "inv_snr"],
-            [[t, v] for t, v in zip(res.t_read, res.inv_snr)],
-        )
+        rows = zip(res.t_read, res.inv_snr)
+        csv_path = _write_csv(out_dir, config, ["t_read_s", "inv_snr"], rows)
         results = {
             "fitted": res.fitted,
             "slope": res.slope,
@@ -477,8 +468,7 @@ def _cmd_emit(config, seed, out_dir):
             [g, delta_c_drt(SensorParams(config["alpha_drt"], config["t_electron_k"], config["f_rf_hz"], g))]
             for g in gammas
         ]
-        path = os.path.join(out_dir, config["output"] + ".csv")
-        _write_csv(path, ["gamma_hz", "delta_c_f"], rows)
+        path = _write_csv(out_dir, config, ["gamma_hz", "delta_c_f"], rows)
         return {"n_points": len(rows)}, [path]
     if family == "histogram":
         if config["input"] is None or config["t_read_s"] is None:
@@ -500,8 +490,8 @@ def _cmd_emit(config, seed, out_dir):
             [c, int(n), d2, d3]
             for c, n, d2, d3 in zip(centers, counts, cols_two, cols_three)
         ]
-        path = os.path.join(out_dir, config["output"] + ".csv")
-        _write_csv(path, ["bin_center", "count", "density_two_state", "density_three_state"], rows)
+        header = ["bin_center", "count", "density_two_state", "density_three_state"]
+        path = _write_csv(out_dir, config, header, rows)
         return {"bins": int(centers.size)}, [path]
     raise ConfigError("emit family must be 'capacitance' or 'histogram'")
 

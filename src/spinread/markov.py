@@ -252,10 +252,11 @@ class Trace:
 
 
 class TraceBatch:
-    """A set of equal-length traces stored as one (n_traces, n_samples) matrix."""
+    """A set of equal-length traces stored as one (n_traces, n_samples) matrix,
+    checked once here. Float64 arrays are kept as given, views uncopied."""
 
     def __init__(self, dt: float, samples: np.ndarray, labels=None, backgrounds=None):
-        samples = np.ascontiguousarray(np.asarray(samples, dtype=float))
+        samples = np.asarray(samples, dtype=float)
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
         if samples.ndim != 2 or samples.size == 0:
@@ -264,13 +265,9 @@ class TraceBatch:
             raise ValueError("samples must be finite")
         self.dt = float(dt)
         self.samples = samples
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int8)
-            if labels.shape != (samples.shape[0],):
-                raise ValueError("labels must have one entry per trace")
-        self.labels = labels
+        self.labels = None if labels is None else _spin_codes(labels, samples.shape[0])
         if backgrounds is not None:
-            backgrounds = np.ascontiguousarray(np.asarray(backgrounds, dtype=float))
+            backgrounds = np.asarray(backgrounds, dtype=float)
             if backgrounds.ndim != 2 or backgrounds.shape[0] != samples.shape[0]:
                 raise ValueError("backgrounds must align with traces")
             if not np.all(np.isfinite(backgrounds)):
@@ -299,6 +296,21 @@ class TraceBatch:
         if self.labels is None:
             raise ValueError("batch carries no ground-truth labels")
         return self.labels
+
+
+def _spin_codes(labels, n_traces: int) -> np.ndarray:
+    """``labels`` as int8 spin codes, one per trace. An entry that is not an
+    integer 0..2 raises ValueError: no float is truncated, no bool read as 0/1."""
+    codes = np.asarray(labels)
+    if codes.shape != (n_traces,):
+        raise ValueError("labels must have one entry per trace")
+    # np.asarray reads [0, True] as integers, so a list is searched for bools
+    exact = codes.dtype.kind in "iu" and (
+        isinstance(labels, np.ndarray) or not {bool, np.bool_} & set(map(type, labels))
+    )
+    if not exact or codes.min() < 0 or codes.max() > SpinState.TM:
+        raise ValueError("labels must be integer spin codes 0 (S), 1 (T0) or 2 (TM)")
+    return codes.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -545,7 +557,7 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
 
 
 def _sample_matrix(samples) -> np.ndarray:
-    y = np.ascontiguousarray(np.asarray(samples, dtype=float))
+    y = np.asarray(samples, dtype=float)
     if y.ndim != 2:
         raise ValueError("samples must be 2-D")
     if not np.all(np.isfinite(y)):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .markov import SpinState, TraceBatch, _window_samples
+from .markov import TraceBatch
+from .readout import _window_means
 
 FORMAT_VERSION = 1
 
@@ -39,30 +40,31 @@ class BundleManifest:
 
 
 class TraceBundle:
-    """Persistent container for a batch of traces plus metadata."""
+    """File layout around one :class:`TraceBatch`, whose ``samples`` (the
+    ``readout``) and ``backgrounds`` are views of the bundle's ``data``."""
 
     def __init__(self, manifest: BundleManifest, data: np.ndarray):
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        expected = (manifest.n_traces, manifest.background_samples + manifest.n_samples)
+        n_bg = manifest.background_samples
+        expected = (manifest.n_traces, n_bg + manifest.n_samples)
         if data.shape != expected:
             raise ValueError(f"data shape {data.shape} does not match manifest {expected}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("samples must be finite")
-        if manifest.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if manifest.labels is not None and len(manifest.labels) != manifest.n_traces:
-            raise ValueError("labels must have one entry per trace")
         self.manifest = manifest
         self.data = data
+        self._batch = TraceBatch(
+            dt=manifest.dt,
+            samples=data[:, n_bg:],
+            labels=manifest.labels,
+            backgrounds=data[:, :n_bg] if n_bg > 0 else None,
+        )
 
     @property
     def readout(self) -> np.ndarray:
-        return self.data[:, self.manifest.background_samples :]
+        return self._batch.samples
 
     @property
     def backgrounds(self) -> np.ndarray | None:
-        b = self.manifest.background_samples
-        return self.data[:, :b] if b > 0 else None
+        return self._batch.backgrounds
 
     @classmethod
     def from_batch(cls, batch: TraceBatch, v0: float = 1.0, corrected: bool = False) -> "TraceBundle":
@@ -82,17 +84,8 @@ class TraceBundle:
         return cls(manifest, data)
 
     def to_batch(self) -> TraceBatch:
-        labels = (
-            np.asarray(self.manifest.labels, dtype=np.int8)
-            if self.manifest.labels is not None
-            else None
-        )
-        return TraceBatch(
-            dt=self.manifest.dt,
-            samples=self.readout.copy(),
-            labels=labels,
-            backgrounds=self.backgrounds.copy() if self.backgrounds is not None else None,
-        )
+        """The bundle's batch; its arrays are views of ``data``, not copies."""
+        return self._batch
 
     def save(self, prefix: str) -> tuple[str, str]:
         manifest_path = f"{prefix}.manifest.json"
@@ -320,10 +313,7 @@ def noise_scaling(bundle: TraceBundle, t_read_list, fit_fraction: float = 0.5) -
 
     t_read_list = np.asarray(sorted(t_read_list), dtype=float)
     inv_snr = np.empty(t_read_list.size)
-    cums = np.cumsum(batch.samples, axis=1)
-    for i, t in enumerate(t_read_list):
-        n_win = _window_samples(batch.dt, batch.n_samples, t)
-        avgs = cums[:, n_win - 1] / n_win
+    for i, avgs in enumerate(_window_means(batch, t_read_list)):
         a, b = avgs[mask0], avgs[~mask0]
         delta = abs(b.mean() - a.mean())
         pooled = math.sqrt(

@@ -69,6 +69,13 @@ def window_average_batch(batch: TraceBatch, t_read: float) -> np.ndarray:
     return batch.samples[:, :n].mean(axis=1)
 
 
+def _window_means(batch: TraceBatch, t_read_list) -> np.ndarray:
+    """Window average of every trace at each readout time, from one
+    cumulative sum: shape (len(t_read_list), n_traces)."""
+    ends = np.array([_window_samples(batch.dt, batch.n_samples, t) for t in t_read_list], dtype=int)
+    return (np.cumsum(batch.samples, axis=1)[:, ends - 1] / ends).T
+
+
 def threshold_classify(avg, threshold: float, polarity: bool = True):
     """High-side class iff avg > threshold; ties go to the low side.
 
@@ -291,10 +298,7 @@ def fidelity_sweep(
             raise ValueError("the threshold method is binary; use parity or singlet_triplet")
         lab0, lab1 = BASIS_LABELS[basis]
         truth = np.array(BASIS_LABELS[basis])[_basis_codes(truth_spin, basis)]
-        cumsums = np.cumsum(batch.samples, axis=1)
-        for t_read in t_read_list:
-            n_win = _window_samples(batch.dt, batch.n_samples, t_read)
-            avgs = cumsums[:, n_win - 1] / n_win
+        for t_read, avgs in zip(t_read_list, _window_means(batch, t_read_list)):
             v0 = avgs[truth == lab0]
             v1 = avgs[truth == lab1]
             threshold, _ = optimal_threshold_empirical(v0, v1)

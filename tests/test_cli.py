@@ -299,6 +299,56 @@ class TestPreprocess:
         }
         assert digests == self.GOLDEN_FILES
 
+    # sha256 of each output of the commands that read a bundle, recorded
+    # when the bundle still handed copies of its matrix to the kernels.
+    # fit-hmm's per-iteration wall times are dropped before hashing.
+    GOLDEN_READ_FILES = {
+        "sweep_threshold.csv": "9b2e4fa50ea84542453c70541416f14ad59174d062e842d8baa33b1e71b2c1e3",
+        "sweep_hmm.csv": "4260bf325d4857d044818d3339d2b2637b9ab98cf95e8e5574b456e9c9093b50",
+        "classify.csv": "7c86dabae746381fa1e54a96ccc0045865d2e3e4324bb24787974476d155f425",
+        "fit_hmm.json": "1201f2c2539a53a03ecf3611ca4ac3fb8e731ea8fd29e2ea8c5cc4ecdccb4d80",
+        "hist.csv": "1203e56d44d4d89bc24fd1ebfbac74a48e9eb52fa24e1283dd52b9eb57edb0f3",
+        "snr.csv": "afc48cea44283732dbb3f4ecd83b201b12941f19e4ac1f2385f1967b77eb6a75",
+    }
+
+    def test_read_side_files_are_golden(self, tmp_path, capsys):
+        def run(command, payload, *flags):
+            config = _write_config(tmp_path, "cfg_" + payload["output"] + ".json", payload)
+            assert main([command, "--config", config, *flags, "--out", str(tmp_path)]) == 0
+
+        run("simulate", {"hmm": _hmm_dict(), "n_traces": 300, "n_samples": 40,
+                         "background_samples": 5, "output": "three"}, "--seed", "11")
+        run("simulate", {"hmm": _hmm_dict(spin=(0.5, 0.0, 0.5)), "n_traces": 200,
+                         "n_samples": 40, "output": "two"}, "--seed", "12")
+        three = str(tmp_path / "three")
+        sweep = {"input": three, "hmm": _hmm_dict(), "basis": "parity",
+                 "t_read_s_list": [5e-5, 1e-4, 2e-4, 4e-4]}
+        run("sweep", dict(sweep, classifier="threshold", output="sweep_threshold"))
+        run("sweep", dict(sweep, classifier="hmm", output="sweep_hmm"))
+        run("classify", {"input": three, "hmm": _hmm_dict(), "classifier": "hmm",
+                         "basis": "three_state", "t_read_s": 4e-4, "output": "classify"})
+        run("fit-hmm", {"input": three, "init": _hmm_dict(std=0.5), "output": "fit_hmm"})
+        run("emit", {
+            "family": "histogram", "input": three, "t_read_s": 2e-4, "bins": 41,
+            "two_state": {
+                "v_s": 0.0, "v_t": 1.0, "sigma0": 0.13, "t0": 2e-4,
+                "t1_t0": 1.7e-4, "t1_tm": 0.29, "p_s": 0.5, "p_t0": 0.0, "p_tm": 0.5,
+            },
+            "output": "hist",
+        })
+        run("snr", {"mode": "scaling", "input": str(tmp_path / "two"),
+                    "t_read_s_list": [2e-5, 5e-5, 1e-4, 2e-4, 4e-4], "output": "snr"})
+        capsys.readouterr()
+        fitted = json.loads((tmp_path / "fit_hmm.json").read_text())
+        del fitted["iteration_seconds"]
+        (tmp_path / "fit_hmm.json").write_text(json.dumps(fitted, indent=2) + "\n")
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.GOLDEN_READ_FILES
+        }
+        assert digests == self.GOLDEN_READ_FILES
+
+
 class TestFitCommands:
     def test_fit_physics_lz(self, tmp_path, capsys):
         delta = 46.9e-9 * E_CHARGE
@@ -527,7 +577,25 @@ _BAD_INPUTS = {
     "fit_hmm_dt_mismatch": ("fit-hmm", lambda b: {"input": b, "init": _hmm_dict(dt=4e-5)}),
     "fit_physics_binary_csv": ("fit-physics", lambda b: {
         "model": "lz", "input_csv": b + ".f64", "init": [1e-26]}),
+    **{
+        f"classify_label_{label}": ("classify", lambda b, label=label: dict(
+            _SWEEP, input=_relabelled(b, label), t_read_s=1e-4))
+        for label in (300, 2.5, True, -1)
+    },
 }
+
+
+def _relabelled(prefix, label):
+    """Copy of the bundle at ``prefix`` whose first manifest label is ``label``."""
+    new = f"{prefix}_label_{label}"
+    with open(prefix + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    manifest["labels"][0] = label
+    with open(new + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    with open(prefix + ".f64", "rb") as src, open(new + ".f64", "wb") as dst:
+        dst.write(src.read())
+    return new
 
 
 @pytest.fixture(scope="module")

@@ -255,6 +255,25 @@ class TestPersistence:
         again = TraceBundle.from_batch(batch)
         np.testing.assert_array_equal(again.data, bundle.data)
 
+    def test_batch_is_views_of_data(self):
+        bundle = _bundle_with_backgrounds(np.random.default_rng(13), n_traces=6)
+        batch = bundle.to_batch()
+        assert batch is bundle.to_batch()
+        assert bundle.readout is batch.samples and bundle.backgrounds is batch.backgrounds
+        assert np.shares_memory(batch.samples, bundle.data)
+        assert np.shares_memory(batch.backgrounds, bundle.data)
+        bundle.data[2, -1] = 7.0
+        assert batch.samples[2, -1] == 7.0
+
+    @pytest.mark.parametrize("label", [300, -1, 3, 2.5, 1.0, True, "1", None])
+    def test_label_that_is_not_a_spin_code_rejected(self, label):
+        labels = [0, 1, 2, label]
+        with pytest.raises(ValueError, match="spin code"):
+            TraceBatch(1e-5, np.zeros((4, 3)), labels=labels)
+        with pytest.raises(ValueError, match="spin code"):
+            TraceBundle(BundleManifest(dt=1e-5, n_traces=4, n_samples=3, labels=labels),
+                        np.zeros((4, 3)))
+
     def test_size_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(14)
         bundle = _bundle_with_backgrounds(rng, n_traces=3)
