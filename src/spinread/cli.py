@@ -268,11 +268,11 @@ _SWEEP_HEADER = [
 def _cmd_simulate(config, seed, out_dir):
     if seed is None:
         raise ConfigError("simulate requires an explicit seed (--seed or config)")
-    params = _hmm_from_config(config["hmm"])
-    batch = simulate_batch(params, config["n_traces"], config["n_samples"], seed)
     n_bg = config["background_samples"]
     if n_bg < 0:
         raise ConfigError("background_samples must be >= 0")
+    params = _hmm_from_config(config["hmm"])
+    batch = simulate_batch(params, config["n_traces"], config["n_samples"], seed)
     if n_bg > 0:
         std = float(np.mean(params.emissions.stds))
         bg = np.empty((batch.n_traces, n_bg))

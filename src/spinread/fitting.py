@@ -3,8 +3,8 @@
 One engine backs every curve fit in the package: physics lineshapes,
 transition-probability curves and histogram models all register a
 :class:`PhysicsModel` and go through :func:`fit_model`. One golden-section
-maximiser backs every one-dimensional optimum search (readout thresholds,
-the tunnel-rate optimum).
+maximiser backs the one-dimensional searches over continuous objectives
+(the analytic readout threshold, the tunnel-rate optimum).
 """
 
 from __future__ import annotations

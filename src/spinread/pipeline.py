@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -37,6 +38,13 @@ class BundleManifest:
     def __post_init__(self):
         if self.version != FORMAT_VERSION:
             raise ValueError(f"unsupported bundle format version {self.version!r}")
+        for name, least in (("n_traces", 1), ("n_samples", 1), ("background_samples", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"manifest {name} must be an integer >= {least}, got {value!r}")
+        dt = self.dt
+        if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0.0 < dt < math.inf:
+            raise ValueError(f"manifest dt must be finite and > 0, got {dt!r}")
 
 
 class TraceBundle:

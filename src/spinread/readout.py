@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .fitting import _golden_max
 from .markov import (
     HmmParams,
     SpinState,
@@ -88,56 +87,45 @@ def threshold_classify(avg, threshold: float, polarity: bool = True):
     return bool(out) if out.ndim == 0 else out
 
 
-def _balanced_fidelity(sorted_odd, sorted_even, thresholds, odd_low: bool):
-    """Mean of per-class correct fractions at each candidate threshold."""
-    thresholds = np.atleast_1d(thresholds)
-    frac_odd_le = np.searchsorted(sorted_odd, thresholds, side="right") / sorted_odd.size
-    frac_even_le = np.searchsorted(sorted_even, thresholds, side="right") / sorted_even.size
-    if odd_low:
-        f = 0.5 * (frac_odd_le + (1.0 - frac_even_le))
-    else:
-        f = 0.5 * ((1.0 - frac_odd_le) + frac_even_le)
-    return f
-
-
-def optimal_threshold_empirical(
-    odd_values: Sequence[float], even_values: Sequence[float], grid: int = 2001
-):
+def optimal_threshold_empirical(odd_values: Sequence[float], even_values: Sequence[float]):
     """Threshold maximising the 50/50-weighted mean fidelity of two samples.
 
-    Evaluates the balanced fidelity on a uniform grid spanning the pooled
-    range, breaks ties toward the midpoint of the tied interval, then
-    refines by golden section around the winner. Returns (threshold, f_m).
+    The lower-mean class is the low side (odd on equal means). One stable
+    sort of the pooled values gives each class's count at or below every
+    split between consecutive distinct values in [lo, hi], so the maximum
+    is exact. The threshold is the midpoint of the widest gap that attains
+    it, the lowest such gap on equal widths (hi itself when only the split
+    above every value does). Returns (threshold, f_m); raises ValueError on
+    an empty class or a non-finite value.
     """
-    odd = np.sort(np.asarray(odd_values, dtype=float))
-    even = np.sort(np.asarray(even_values, dtype=float))
+    odd = np.asarray(odd_values, dtype=float)
+    even = np.asarray(even_values, dtype=float)
     if odd.size == 0 or even.size == 0:
         raise ValueError("both classes must be non-empty")
+    pooled = np.concatenate([odd, even])
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("threshold values must be finite")
     odd_low = odd.mean() <= even.mean()
 
-    lo = min(odd[0], even[0])
-    hi = max(odd[-1], even[-1])
-    if lo == hi:
-        return lo, float(_balanced_fidelity(odd, even, lo, odd_low)[0])
-    candidates = np.linspace(lo, hi, grid)
-    f = _balanced_fidelity(odd, even, candidates, odd_low)
-    f_max = f.max()
-    tied = np.flatnonzero(f == f_max)
-    runs = np.split(tied, np.flatnonzero(np.diff(tied) > 1) + 1)
-    run = max(runs, key=len)
-    best = int(run[(len(run) - 1) // 2])
-
-    a, b = _golden_max(
-        lambda th: _balanced_fidelity(odd, even, th, odd_low)[0],
-        candidates[max(best - 1, 0)],
-        candidates[min(best + 1, grid - 1)],
-        80,
-    )
-    refined = 0.5 * (a + b)
-    f_refined = float(_balanced_fidelity(odd, even, refined, odd_low)[0])
-    if f_refined >= f_max:
-        return float(refined), f_refined
-    return float(candidates[best]), float(f_max)
+    order = np.argsort(pooled, kind="stable")
+    values = pooled[order]
+    if values[0] == values[-1]:
+        return float(values[0]), 0.5
+    ends = np.append(np.flatnonzero(values[1:] != values[:-1]), values.size - 1)
+    odd_le = np.cumsum(order < odd.size)[ends]
+    even_le = ends + 1 - odd_le
+    if odd_low:
+        f = 0.5 * (odd_le / odd.size + (1.0 - even_le / even.size))
+    else:
+        f = 0.5 * ((1.0 - odd_le / odd.size) + even_le / even.size)
+    # split j holds for every threshold in [values[ends[j]], upper[j])
+    upper = np.append(values[ends[:-1] + 1], values[-1])
+    best = np.flatnonzero(f == f.max())
+    j = best[np.argmax(upper[best] - values[ends[best]])]
+    lower = values[ends[j]]
+    mid = lower + 0.5 * (upper[j] - lower)
+    # between adjacent floats the midpoint can round onto the upper value
+    return float(mid if mid < upper[j] else lower), float(f[j])
 
 
 @dataclass(frozen=True)
@@ -297,16 +285,13 @@ def fidelity_sweep(
         if basis is ReadoutBasis.THREE_STATE:
             raise ValueError("the threshold method is binary; use parity or singlet_triplet")
         lab0, lab1 = BASIS_LABELS[basis]
-        truth = np.array(BASIS_LABELS[basis])[_basis_codes(truth_spin, basis)]
+        is1 = _basis_codes(truth_spin, basis) == 1
         for t_read, avgs in zip(t_read_list, _window_means(batch, t_read_list)):
-            v0 = avgs[truth == lab0]
-            v1 = avgs[truth == lab1]
+            v0, v1 = avgs[~is1], avgs[is1]
             threshold, _ = optimal_threshold_empirical(v0, v1)
-            high_label = lab1 if v1.mean() >= v0.mean() else lab0
-            low_label = lab0 if high_label == lab1 else lab1
-            is_high = threshold_classify(avgs, threshold)
-            predicted = np.where(is_high, high_label, low_label)
-            reports.append(confusion_metrics(truth, predicted, basis, t_read=t_read))
+            high, low = (lab1, lab0) if v1.mean() >= v0.mean() else (lab0, lab1)
+            predicted = np.where(threshold_classify(avgs, threshold), high, low)
+            reports.append(confusion_metrics(truth_spin, predicted, basis, t_read=t_read))
     else:
         _check_dt(params, batch.dt)
         windows = [_window_samples(batch.dt, batch.n_samples, t) for t in t_read_list]

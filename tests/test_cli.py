@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from spinread import cli
 from spinread.cli import main
 from spinread.constants import E_CHARGE, HBAR
 from spinread.markov import HmmParams, log_likelihood
@@ -107,6 +108,18 @@ class TestSimulate:
         code, _, err = _run(capsys, ["simulate", "--config", config, "--out", str(tmp_path)])
         assert code == 2
         assert "seed" in err
+
+    def test_negative_background_rejected_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("simulate_batch ran before the config check")
+
+        monkeypatch.setattr(cli, "simulate_batch", not_called)
+        config = _write_config(tmp_path, "sim.json", {
+            "hmm": _hmm_dict(), "n_traces": 10, "n_samples": 5, "background_samples": -1,
+        })
+        code, _, err = _run(capsys, ["simulate", "--config", config, "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "background_samples" in err
 
 
 def _nan_sample(prefix):
@@ -579,18 +592,23 @@ _BAD_INPUTS = {
         "model": "lz", "input_csv": b + ".f64", "init": [1e-26]}),
     **{
         f"classify_label_{label}": ("classify", lambda b, label=label: dict(
-            _SWEEP, input=_relabelled(b, label), t_read_s=1e-4))
+            _SWEEP, input=_edited_copy(b, f"label_{label}", lambda m: m.update(
+                labels=[label] + m["labels"][1:])), t_read_s=1e-4))
         for label in (300, 2.5, True, -1)
     },
+    # 35 - 5 matches the 30 columns on disk
+    "classify_negative_background": ("classify", lambda b: dict(
+        _SWEEP, input=_edited_copy(b, "negative_background", lambda m: m.update(
+            background_samples=-5, n_samples=35)), t_read_s=4e-5)),
 }
 
 
-def _relabelled(prefix, label):
-    """Copy of the bundle at ``prefix`` whose first manifest label is ``label``."""
-    new = f"{prefix}_label_{label}"
+def _edited_copy(prefix, tag, edit):
+    """Copy of the bundle at ``prefix`` whose manifest ``edit`` changed in place."""
+    new = f"{prefix}_{tag}"
     with open(prefix + ".manifest.json") as fh:
         manifest = json.load(fh)
-    manifest["labels"][0] = label
+    edit(manifest)
     with open(new + ".manifest.json", "w") as fh:
         json.dump(manifest, fh)
     with open(prefix + ".f64", "rb") as src, open(new + ".f64", "wb") as dst:
@@ -620,3 +638,11 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, labelled_bundle, case
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), out.err
     assert "Traceback" not in out.err
+
+
+def test_bad_manifest_error_names_the_field(tmp_path, capsys, labelled_bundle):
+    command, make_config = _BAD_INPUTS["classify_negative_background"]
+    config = _write_config(tmp_path, "bad.json", make_config(labelled_bundle))
+    code, _, err = _run(capsys, [command, "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "background_samples" in err

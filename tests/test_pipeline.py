@@ -304,6 +304,32 @@ class TestPersistence:
         with pytest.raises(ValueError, match="version"):
             BundleManifest(dt=1e-5, n_traces=3, n_samples=5, version=99)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n_traces", 0), ("n_traces", 2.0), ("n_traces", True), ("n_traces", "3"),
+        ("n_samples", 0), ("n_samples", -1), ("n_samples", 5.5), ("n_samples", False),
+        ("background_samples", -5), ("background_samples", 1.0), ("background_samples", True),
+        ("dt", 0.0), ("dt", -1e-5), ("dt", math.nan), ("dt", math.inf), ("dt", "1e-5"),
+        ("dt", True),
+    ])
+    def test_bad_manifest_field_rejected(self, field, bad):
+        fields = dict(dt=1e-5, n_traces=3, n_samples=5, background_samples=0)
+        fields[field] = bad
+        with pytest.raises(ValueError, match=field):
+            BundleManifest(**fields)
+
+    def test_negative_background_manifest_rejected_on_load(self, tmp_path):
+        # 45 - 5 matches the 40 columns on disk, so only the sign check
+        # stops data[:, -5:] from loading as the readout
+        prefix = str(tmp_path / "neg")
+        TraceBundle(BundleManifest(dt=1e-5, n_traces=3, n_samples=40), np.zeros((3, 40))).save(prefix)
+        with open(prefix + ".manifest.json") as fh:
+            manifest = json.load(fh)
+        manifest.update(background_samples=-5, n_samples=45)
+        with open(prefix + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="background_samples"):
+            TraceBundle.load(prefix)
+
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         target = str(tmp_path / "out.json")
 

@@ -64,6 +64,38 @@ class TestThresholdClassify:
             assert threshold_classify(avg, threshold) == threshold_classify(f(avg), f(threshold))
 
 
+# small multiples of 1/4 give duplicates and ties; the floats reach
+# subnormals and near neighbours
+_VALUES = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 4),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+def _balanced(odd, even, th):
+    """Balanced fidelity of the split at ``th``, the lower-mean class low."""
+    odd_le = sum(v <= th for v in odd)
+    even_le = sum(v <= th for v in even)
+    if np.mean(odd) <= np.mean(even):
+        return 0.5 * (odd_le / len(odd) + (1.0 - even_le / len(even)))
+    return 0.5 * ((1.0 - odd_le / len(odd)) + even_le / len(even))
+
+
+def _brute_force_threshold(odd, even):
+    """(maximum balanced fidelity over every split in [lo, hi], threshold):
+    the threshold is the midpoint of the lowest of the widest gaps between
+    consecutive distinct values that attain the maximum, or the gap's
+    lower value where the midpoint rounds onto its upper value."""
+    values = sorted(set(odd) | set(even))
+    gaps = list(zip(values, values[1:] + values[-1:]))
+    f = [_balanced(odd, even, lo) for lo, _ in gaps]
+    f_max = max(f)
+    width = max(hi - lo for (lo, hi), fv in zip(gaps, f) if fv == f_max)
+    lo, hi = next(g for g, fv in zip(gaps, f) if fv == f_max and g[1] - g[0] == width)
+    mid = lo + 0.5 * (hi - lo)
+    return f_max, mid if mid < hi else lo
+
+
 class TestOptimalThreshold:
     def test_perfect_separation(self):
         odd = np.linspace(0.0, 0.2, 100)
@@ -90,14 +122,48 @@ class TestOptimalThreshold:
         with pytest.raises(ValueError):
             optimal_threshold_empirical([], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            optimal_threshold_empirical([0.0, 0.1, bad], [1.0, 1.1])
+        with pytest.raises(ValueError, match="finite"):
+            optimal_threshold_empirical([0.0, 0.1], [1.0, bad])
+
+    def test_narrow_gap_between_grid_points(self):
+        # the only perfect split, (5.15, 5.3), lies between the points 5 and
+        # 6 of a 2001-point grid over [0, 2000], where no point beats 2/3
+        odd = [0.0, 5.1, 5.15]
+        even = [5.3, 5.4, 2000.0]
+        assert optimal_threshold_empirical(odd, even) == (5.15 + 0.5 * (5.3 - 5.15), 1.0)
+
+    def test_adjacent_floats_split(self):
+        # the midpoint of 1 + 2^-52 and 1 + 2^-51 rounds onto the upper value
+        odd, even = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        th, fm = optimal_threshold_empirical([odd], [even])
+        assert (th, fm) == (odd, 1.0)
+        assert not threshold_classify(odd, th) and threshold_classify(even, th)
+
+    @given(
+        st.lists(_VALUES, min_size=1, max_size=9),
+        st.lists(_VALUES, min_size=1, max_size=9),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force_oracle(self, odd, even):
+        f_max, expected = _brute_force_threshold(odd, even)
+        th, fm = optimal_threshold_empirical(odd, even)
+        assert fm == f_max
+        assert th == expected
+        assert _balanced(odd, even, th) == f_max
+
     def test_golden_values_bit_identical(self):
-        # (threshold, F_m) recorded from the hand-written golden-section loop
-        # that preceded the shared maximiser
+        # F_m recorded from the grid and golden-section search that the
+        # exact scan replaced; the thresholds are the midpoints of the gaps
+        # that search landed in
         golden = [
-            (0.544126513843505, 0.9062857142857144),
-            (0.4038063711261929, 0.95),
-            (0.42870925420051187, 0.68875),
-            (1.0177104367013228, 1.0),
+            (0.542181536189936, 0.9062857142857144),
+            (0.40262392462337104, 0.95),
+            (0.4271020301599221, 0.68875),
+            (1.016230144156434, 1.0),
         ]
         rng = np.random.default_rng(5)
         draws = [(500, 700, 0.0, 1.0, 0.4), (300, 300, 1.0, 0.0, 0.3),
