@@ -11,13 +11,14 @@ CDFs of these densities at an optimised threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  not called; perfbench's tracer patches this name
+from scipy.optimize import minimize_scalar
 from scipy.special import erf, erfcx, ndtr
 
-from .fitting import _golden_max, least_squares_damped, poisson_weights
+from .fitting import least_squares_damped, poisson_weights
 from .readout import ReadoutBasis
 
 _SQRT2 = math.sqrt(2.0)
@@ -44,6 +45,9 @@ class DensityParams:
     p_tm: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.sigma0 <= 0 or self.t0 <= 0:
             raise ValueError("sigma0 and t0 must be > 0")
         if self.t1_t0 <= 0 or self.t1_tm <= 0:
@@ -221,10 +225,11 @@ def analytic_fidelity(
 ) -> AnalyticFidelityReport:
     """Optimal-threshold mean fidelity from the analytic distributions.
 
-    Per-class error probabilities come from the exact class CDFs; the
-    threshold is located on a 2001-point grid and refined by golden
-    section. Also reports the electrical fidelity and the closed-form
-    SNR/relaxation estimate for reference.
+    Per-class error probabilities come from the exact class CDFs. A
+    2001-point grid picks the global maximum, and scipy's bounded Brent
+    search (:func:`scipy.optimize.minimize_scalar`) refines the threshold
+    between its grid neighbours. Also reports the electrical fidelity and
+    the closed-form SNR/relaxation estimate for reference.
     """
     if mode not in ("two_state", "three_state"):
         raise ValueError("mode must be 'two_state' or 'three_state'")
@@ -242,14 +247,12 @@ def analytic_fidelity(
     hi = max(p.v_s, p.v_t) + 6.0 * sigma
     grid = np.linspace(lo, hi, 2001)
     best = int(np.argmax(objective(grid)))
-    a, b = _golden_max(
-        objective,
-        grid[max(best - 1, 0)],
-        grid[min(best + 1, grid.size - 1)],
-        200,  # a backstop only: the stop rule ends the search within ~65 steps
-        lambda a, b: b - a <= 1e-9 * sigma,
-    )
-    v_threshold = 0.5 * (a + b)
+    v_threshold = minimize_scalar(
+        lambda th: -objective(th),
+        bounds=(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-9 * sigma},
+    ).x
     f_m_star = float(objective(v_threshold))
 
     return AnalyticFidelityReport(

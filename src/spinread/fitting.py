@@ -2,14 +2,11 @@
 
 One engine backs every curve fit in the package: physics lineshapes,
 transition-probability curves and histogram models all register a
-:class:`PhysicsModel` and go through :func:`fit_model`. One golden-section
-maximiser backs the one-dimensional searches over continuous objectives
-(the analytic readout threshold, the tunnel-rate optimum).
+:class:`PhysicsModel` and go through :func:`fit_model`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -77,39 +74,6 @@ def get_model(model_id: str) -> PhysicsModel:
         raise KeyError(
             f"unknown model {model_id!r}; registered: {sorted(MODEL_REGISTRY)}"
         ) from None
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    max_steps: int,
-    stop: Callable[[float, float], bool] | None = None,
-) -> tuple[float, float]:
-    """Golden-section search for a maximum of ``f`` bracketed by [a, b].
-
-    Takes at most ``max_steps`` steps, ending early once ``stop(a, b)``
-    holds; on equal values the upper part of the bracket is kept. Returns
-    the final bracket (a, b).
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_steps):
-        if stop is not None and stop(a, b):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return a, b
 
 
 def _jacobian(residual_fn, x, r0, lo, hi):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, HBAR, K_BOLTZMANN, PLANCK_H
-from .fitting import PhysicsModel, _golden_max, register_model
+from .fitting import PhysicsModel, register_model
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class SensorParams:
         if not 0.0 <= self.alpha_drt < 1.0:
             raise ValueError("alpha_drt must lie in [0, 1)")
         for name in ("t_electron", "f_rf", "gamma"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -90,29 +90,28 @@ def optimal_tunnel_rate(
     t_electron: float,
     f_rf: float,
     search_range: tuple[float, float],
-    grid_points: int = 512,
 ) -> float:
-    """Tunnel rate maximising :func:`delta_c_drt` on ``search_range``.
+    """Tunnel rate maximising :func:`delta_c_drt`, checked against ``search_range``.
 
-    Coarse log-spaced grid followed by golden-section refinement of the
-    bracketing interval. Raises if the maximum sits on the range boundary,
-    which means the range does not contain the interior optimum.
+    Setting d(delta_c_drt)/d(gamma) = 0 gives gamma* = f_rf * u, where u
+    is the one positive root of u^3 - u = 2 kB Te / (h f_rf) (Descartes'
+    rule of signs); alpha_drt only scales the prefactor. The cubic is
+    solved by its companion matrix and polished with one Newton step.
+    Raises if gamma* is not strictly inside the range, which means the
+    range does not contain the interior optimum.
     """
     lo, hi = search_range
-    if not (0.0 < lo < hi):
-        raise ValueError("search range must be positive with lower < upper")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError("search range must be finite and positive with lower < upper")
+    SensorParams(alpha_drt, t_electron, f_rf, lo)  # validates the operating point
 
-    def value(gamma):
-        return delta_c_drt(SensorParams(alpha_drt, t_electron, f_rf, gamma))
-
-    grid = np.geomspace(lo, hi, grid_points)
-    values = np.array([value(g) for g in grid])
-    best = int(np.argmax(values))
-    if best == 0 or best == grid_points - 1:
+    c = 2.0 * K_BOLTZMANN * t_electron / (PLANCK_H * f_rf)
+    u = float(np.roots([1.0, 0.0, -1.0, -c]).real.max())
+    u -= (u**3 - u - c) / (3.0 * u**2 - 1.0)
+    gamma = f_rf * u
+    if not lo < gamma < hi:
         raise ValueError("capacitance maximum lies on the search boundary; widen the range")
-
-    a, b = _golden_max(value, grid[best - 1], grid[best + 1], 200, lambda a, b: b - a <= 1e-12 * b)
-    return 0.5 * (a + b)
+    return gamma
 
 
 def reflectometry_snr(

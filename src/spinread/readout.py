@@ -284,12 +284,13 @@ def fidelity_sweep(
     if classifier == "threshold":
         if basis is ReadoutBasis.THREE_STATE:
             raise ValueError("the threshold method is binary; use parity or singlet_triplet")
-        lab0, lab1 = BASIS_LABELS[basis]
+        # each basis label's first spin code stands for it in the predictions
+        spin0, spin1 = (list(_SPIN_TO_BASIS_CODE[basis]).index(i) for i in (0, 1))
         is1 = _basis_codes(truth_spin, basis) == 1
         for t_read, avgs in zip(t_read_list, _window_means(batch, t_read_list)):
             v0, v1 = avgs[~is1], avgs[is1]
             threshold, _ = optimal_threshold_empirical(v0, v1)
-            high, low = (lab1, lab0) if v1.mean() >= v0.mean() else (lab0, lab1)
+            high, low = (spin1, spin0) if v1.mean() >= v0.mean() else (spin0, spin1)
             predicted = np.where(threshold_classify(avgs, threshold), high, low)
             reports.append(confusion_metrics(truth_spin, predicted, basis, t_read=t_read))
     else:

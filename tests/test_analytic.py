@@ -91,6 +91,18 @@ class TestSigmaOfT:
             sigma_of_t(0.3, 1e-4, 0.0)
 
 
+class TestDensityParams:
+    FIELDS = ("v_s", "v_t", "sigma0", "t0", "t1_t0", "t1_tm", "p_s", "p_t0", "p_tm")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_raises(self, field, bad):
+        values = vars(_params(fractions=(0.25, 0.25, 0.5))).copy()
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            DensityParams(**values)
+
+
 class TestSingletDensity:
     def test_peak_value(self):
         p = _params(snr=4.0)
@@ -344,11 +356,22 @@ class TestAnalyticFidelity:
                 assert abs(rep.f_m_star - fidelity_from_snr(snr, gt)) < 1e-4, (snr, gt)
 
     def test_threshold_satisfies_crossing_condition(self):
-        p = _params(snr=4.0, t1_tm=1e-3)
-        rep = analytic_fidelity(p, 1e-4, "two_state")
-        ns = singlet_density(rep.v_threshold, 1e-4, p)
-        nt = triplet_density(rep.v_threshold, 1e-4, p.t1_tm, p)
-        assert abs(ns - nt) < 1e-6 * max(ns, nt)
+        # at the optimum the normalised low- and high-class densities cross
+        t = 1e-4
+        for mode, basis in TestClassCdfs.CLASSES:
+            fractions = (0.5, 0.0, 0.5) if mode == "two_state" else (0.3, 0.3, 0.4)
+            p = _params(snr=4.0, t1_t0=5e-4, t1_tm=1e-3, fractions=fractions)
+            v = analytic_fidelity(p, t, mode, basis).v_threshold
+            n_s = singlet_density(v, t, p)
+            n_t0 = triplet_density(v, t, p.t1_t0, p)
+            n_tm = triplet_density(v, t, p.t1_tm, p)
+            if mode == "two_state":
+                low, high = n_s, n_tm
+            elif basis is ReadoutBasis.PARITY:
+                low, high = 0.5 * (n_s + n_t0), n_tm
+            else:
+                low, high = n_s, (p.p_t0 * n_t0 + p.p_tm * n_tm) / (p.p_t0 + p.p_tm)
+            assert abs(low - high) < 1e-6 * max(low, high), (mode, basis)
 
     def test_monotonicity_of_closed_forms(self):
         snrs = np.linspace(0.5, 12, 30)

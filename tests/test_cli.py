@@ -581,6 +581,11 @@ _BAD_INPUTS = {
         "family": "histogram", "input": b, "t_read_s": 1e-4, "bins": 1}),
     "emit_alpha_above_one": ("emit", lambda b: dict(_CAPACITANCE, alpha_drt=2)),
     "emit_negative_points": ("emit", lambda b: dict(_CAPACITANCE, n_points=-3)),
+    "emit_nan_temperature": ("emit", lambda b: dict(_CAPACITANCE, t_electron_k=math.nan)),
+    "emit_nan_sigma0": ("emit", lambda b: {
+        "family": "histogram", "input": b, "t_read_s": 1e-4, "two_state": {
+            "v_s": 0.0, "v_t": 1.0, "sigma0": math.nan, "t0": 1e-4,
+            "t1_t0": 1.7e-4, "t1_tm": 0.29, "p_s": 0.5, "p_t0": 0.0, "p_tm": 0.5}}),
     "sweep_non_numeric_time": ("sweep", lambda b: dict(_SWEEP, input=b, t_read_s_list=["x"])),
     "sweep_no_times": ("sweep", lambda b: dict(_SWEEP, input=b, t_read_s_list=[])),
     "sweep_dt_mismatch": ("sweep", lambda b: dict(

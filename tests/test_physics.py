@@ -72,6 +72,18 @@ class TestDeltaC:
         with pytest.raises(ValueError):
             SensorParams(0.17, 0.09, 0.0, 1e9)
 
+    @pytest.mark.parametrize("field", ["alpha_drt", "t_electron", "f_rf", "gamma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_raise(self, field, bad):
+        values = dict(alpha_drt=REF_ALPHA, t_electron=REF_TE, f_rf=REF_FRF, gamma=1e9)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            SensorParams(**values)
+        if field != "gamma":
+            values.pop("gamma")
+            with pytest.raises(ValueError, match=field):
+                optimal_tunnel_rate(**values, search_range=(0.05e9, 19e9))
+
 
 class TestOptimalTunnelRate:
     def test_sweet_spot_ordering(self):
@@ -96,14 +108,45 @@ class TestOptimalTunnelRate:
         with pytest.raises(ValueError, match="boundary"):
             optimal_tunnel_rate(REF_ALPHA, REF_TE, REF_FRF, (5e9, 19e9))
 
+    def test_range_ending_just_above_optimum(self):
+        # gamma* = 1.1781 GHz lies inside the range, 0.16 % below its end
+        gamma = optimal_tunnel_rate(REF_ALPHA, REF_TE, REF_FRF, (0.05e9, 1.18e9))
+        assert abs(gamma - GAMMA_STAR_EXPECTED) < 1e-3 * GAMMA_STAR_EXPECTED
+        with pytest.raises(ValueError, match="boundary"):
+            optimal_tunnel_rate(REF_ALPHA, REF_TE, REF_FRF, (0.05e9, 1.17e9))
+
+    @pytest.mark.parametrize("t_e", [0.01, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("f_rf", [1e7, 1e8, 1e9, 1e10])
+    def test_stationary_point_oracle(self, t_e, f_rf):
+        gamma = optimal_tunnel_rate(REF_ALPHA, t_e, f_rf, (1e-2 * f_rf, 1e3 * f_rf))
+        # d(delta_c)/d(gamma) = 0 reads u^3 - u = c with u = gamma / f_rf
+        u = gamma / f_rf
+        c = 2.0 * K_BOLTZMANN * t_e / (PLANCK_H * f_rf)
+        assert abs(u**3 - u - c) <= 16 * np.finfo(float).eps * u**3
+
+        def value(g):
+            return delta_c_drt(SensorParams(REF_ALPHA, t_e, f_rf, g))
+
+        best = value(gamma)
+        assert best >= value(gamma * (1 + 1e-6)) and best >= value(gamma * (1 - 1e-6))
+        grid = np.geomspace(1e-2 * f_rf, 1e3 * f_rf, 4000)
+        assert best >= max(value(g) for g in grid)
+
+    @pytest.mark.parametrize("search_range", [
+        (0.05e9, math.inf), (0.05e9, math.nan), (math.nan, 19e9), (-math.inf, 19e9),
+    ])
+    def test_non_finite_range_raises(self, search_range):
+        with pytest.raises(ValueError, match="search range"):
+            optimal_tunnel_rate(REF_ALPHA, REF_TE, REF_FRF, search_range)
+
     @pytest.mark.parametrize("args, expected", [
-        ((REF_ALPHA, REF_TE, REF_FRF, (0.05e9, 19e9)), 1178129625.061335),
-        ((0.3, 0.2, 300e6, (0.05e9, 1e12)), 941611601.8508079),
-        ((0.05, 0.05, 1e9, (1e7, 1e11)), 1535305888.615048),
+        ((REF_ALPHA, REF_TE, REF_FRF, (0.05e9, 19e9)), 1178129602.5044668),
+        ((0.3, 0.2, 300e6, (0.05e9, 1e12)), 941611590.1615512),
+        ((0.05, 0.05, 1e9, (1e7, 1e11)), 1535305850.3762257),
     ])
     def test_golden_values_bit_identical(self, args, expected):
-        # recorded from the hand-written golden-section loop that preceded
-        # the shared maximiser
+        # recorded from the closed-form cubic root, which puts delta_c_drt
+        # no lower than the earlier numerical search did (CHANGES.md)
         assert optimal_tunnel_rate(*args) == expected
 
 
