@@ -42,6 +42,14 @@ class TlfState(IntEnum):
 # charge configuration; the complement emits the blocked (1,1) signal
 SINGLET_SIGNAL_STATES = (0, 4, 5)
 TRIPLET_SIGNAL_STATES = (1, 2, 3)
+# charge group of each hidden state: 0 singlet signal, 1 triplet signal
+_CHARGE_GROUP = np.zeros(N_STATES, dtype=np.intp)
+_CHARGE_GROUP[list(TRIPLET_SIGNAL_STATES)] = 1
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0")
 
 
 class ZeroLikelihoodError(RuntimeError):
@@ -63,8 +71,8 @@ class RateSet:
 
     def __post_init__(self):
         for name in ("gamma_t0", "gamma_tm", "tlf_up", "tlf_down"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,10 @@ class EmissionModel:
         stds = np.ascontiguousarray(np.asarray(self.stds, dtype=float))
         if means.shape != (N_STATES,) or stds.shape != (N_STATES,):
             raise ValueError(f"means and stds must have shape ({N_STATES},)")
-        if np.any(stds <= 0.0):
-            raise ValueError("emission stds must be > 0")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("emission means must be finite")
+        if not np.all((stds > 0.0) & (stds < math.inf)):
+            raise ValueError("emission stds must be finite and > 0")
         means.flags.writeable = False
         stds.flags.writeable = False
         object.__setattr__(self, "means", means)
@@ -89,9 +99,7 @@ class EmissionModel:
     @classmethod
     def from_charge_levels(cls, v_singlet: float, v_triplet: float, std: float) -> "EmissionModel":
         """Tied emissions: one mean per charge configuration, shared std."""
-        means = np.empty(N_STATES)
-        means[list(SINGLET_SIGNAL_STATES)] = v_singlet
-        means[list(TRIPLET_SIGNAL_STATES)] = v_triplet
+        means = np.array([v_singlet, v_triplet], dtype=float)[_CHARGE_GROUP]
         return cls(means=means, stds=np.full(N_STATES, float(std)))
 
 
@@ -132,8 +140,7 @@ def transition_matrix(q: np.ndarray, dt: float) -> np.ndarray:
     that are unreachable in the generator are pinned to exactly zero.
     """
     q = np.asarray(q, dtype=float)
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
+    _require_positive("dt", dt)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("generator must be square")
     offdiag = q - np.diag(np.diag(q))
@@ -164,10 +171,9 @@ class HmmParams:
         pi = np.ascontiguousarray(np.asarray(self.pi, dtype=float))
         if pi.shape != (N_STATES,):
             raise ValueError(f"pi must have shape ({N_STATES},)")
-        if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-12:
+        if not (np.all(pi >= 0.0) and abs(pi.sum() - 1.0) <= 1e-12):
             raise ValueError("pi must be non-negative and sum to 1")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        _require_positive("dt", self.dt)
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         a = transition_matrix(build_generator(self.rates), self.dt)
@@ -238,8 +244,7 @@ class Trace:
 
     def __post_init__(self):
         samples = np.ascontiguousarray(np.asarray(self.samples, dtype=float))
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        _require_positive("dt", self.dt)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(samples)):
@@ -257,8 +262,7 @@ class TraceBatch:
 
     def __init__(self, dt: float, samples: np.ndarray, labels=None, backgrounds=None):
         samples = np.asarray(samples, dtype=float)
-        if dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        _require_positive("dt", dt)
         if samples.ndim != 2 or samples.size == 0:
             raise ValueError("samples must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(samples)):
@@ -846,17 +850,18 @@ def em_fit(
     """
     if batch.n_traces == 0:
         raise ValueError("batch must be non-empty")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
     _check_dt(init, batch.dt)
     y = batch.samples
-    n, t_len = y.shape
     dt = batch.dt
-    groups = [list(SINGLET_SIGNAL_STATES), list(TRIPLET_SIGNAL_STATES)]
-    # emission moments are taken about the previous mean of each state,
-    # untied, or of its charge group's first state, tied
-    centre_of = np.arange(N_STATES)
-    if tie_emissions:
-        for g in groups:
-            centre_of[g] = g[0]
+    chunks = list(_trace_chunks(*y.shape))
+    # the states that share a mean: a charge configuration each, tied, or
+    # one state each; moments are taken about each group's first state
+    group = _CHARGE_GROUP if tie_emissions else np.arange(N_STATES)
+    centre_of = np.unique(group, return_index=True)[1][group]
 
     params = init
     lls = []
@@ -865,7 +870,6 @@ def em_fit(
     floored = False
     var_floor = 1e-12
 
-    n_iter = 0
     for n_iter in range(1, max_iter + 1):
         stamps.append(time.perf_counter())
         means, stds = params.emissions.means, params.emissions.stds
@@ -874,61 +878,45 @@ def em_fit(
         centres = means[centre_of[live]]
         stats = []
         ll_total = 0.0
-        held = None  # the latest chunk's forward pass, not yet smoothed
-        for sl in _trace_chunks(n, t_len):
-            if held is not None:
-                stats.append(_smoothed_statistics(a_live, *held, centres))
-                held = None
-            held, ll = _forward_chunk(params, chain, y[sl].T)
+        for sl in chunks:
+            fwd, ll = _forward_chunk(params, chain, y[sl].T)
             ll_total += ll
+            if sl != chunks[-1]:
+                stats.append(_smoothed_statistics(a_live, *fwd, centres))
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
             converged = True
             break
-        stats.append(_smoothed_statistics(a_live, *held, centres))
+        stats.append(_smoothed_statistics(a_live, *fwd, centres))
         pi_sum, xi_sum, moments = (sum(parts) for parts in zip(*stats))
 
         # back to all six states; the others have no mass. xi entries lack
         # the factor a(i, j) of each expected transition; apply it once
         # here instead of per step
-        pi_acc = np.zeros(N_STATES)
-        pi_acc[live] = pi_sum
+        pi = np.zeros(N_STATES)
+        pi[live] = pi_sum / pi_sum.sum()
         xi_acc = np.zeros((N_STATES, N_STATES))
         xi_acc[np.ix_(live, live)] = xi_sum * a_live
-        w_acc, m1_acc, m2_acc = np.zeros((3, N_STATES))
-        w_acc[live], m1_acc[live], m2_acc[live] = moments.T
-
-        pi = pi_acc / pi_acc.sum()
         rates = _rates_from_counts(xi_acc, dt, params.rates, freeze_tlf_rates)
 
         if not freeze_emissions:
+            # the live states' moments pooled per group. They are about the
+            # group's previous mean, so the offset m1 / w moves that mean
+            # and m2 - offset * m1 is the residual sum of squares about it
+            w, m1, m2 = (np.bincount(group[live], weights=m, minlength=N_STATES) for m in moments.T)
+            ok = w > 1e-300
+            offset = np.divide(m1, w, out=np.zeros(N_STATES), where=ok)
+            resid = m2 - offset * m1
+            # only the pooling of the variance depends on the tying
             if tie_emissions:
-                # moments are about each group's previous mean, so the
-                # pooled variance is sum over groups of m2 - offset * m1
-                new_means = means.copy()
-                var = 0.0
-                for g in groups:
-                    wg, m1g, m2g = w_acc[g].sum(), m1_acc[g].sum(), m2_acc[g].sum()
-                    if wg > 1e-300:
-                        offset = m1g / wg
-                        new_means[g] = means[g[0]] + offset
-                        m2g -= offset * m1g
-                    var += m2g
-                var /= w_acc.sum()
-                if var < var_floor:
-                    var = var_floor
-                    floored = True
-                means = new_means
-                stds = np.full(N_STATES, math.sqrt(var))
+                var = np.full(N_STATES, resid[ok].sum() / moments[:, 0].sum())
             else:
-                ok = w_acc > 1e-300
-                offset = np.where(ok, m1_acc / np.where(ok, w_acc, 1.0), 0.0)
-                var = np.where(ok, m2_acc / np.where(ok, w_acc, 1.0) - offset**2, stds**2)
-                if np.any(var[ok] < var_floor):
-                    floored = True
-                var = np.maximum(var, var_floor)
-                means = means + offset
-                stds = np.sqrt(var)
+                var = np.divide(resid, w, out=np.zeros(N_STATES), where=ok)
+            floored |= bool(np.any(var[ok] < var_floor))
+            # a group with no occupancy keeps its means and stds
+            fitted = ok[group]
+            means = np.where(fitted, means[centre_of] + offset[group], means)
+            stds = np.where(fitted, np.sqrt(np.maximum(var, var_floor))[group], stds)
         params = HmmParams(
             pi=pi, rates=rates, dt=dt, emissions=EmissionModel(means=means, stds=stds)
         )

@@ -40,21 +40,18 @@ BASIS_LABELS = {
     ReadoutBasis.SINGLET_TRIPLET: ("singlet", "triplet"),
 }
 
-_SPIN_NAMES = ("S", "T0", "Tm")
+# spin code (S, T0, Tm) -> index into BASIS_LABELS[basis]: parity groups
+# S and T0 as odd, singlet-triplet groups T0 and Tm as triplet
+_SPIN_TO_BASIS_CODE = {
+    ReadoutBasis.THREE_STATE: np.array([0, 1, 2]),
+    ReadoutBasis.PARITY: np.array([0, 0, 1]),
+    ReadoutBasis.SINGLET_TRIPLET: np.array([0, 1, 1]),
+}
 
 
 def map_basis(label, basis: ReadoutBasis) -> str:
-    """Map a spin label onto a readout-basis label.
-
-    Parity groups S and T0 as odd and Tm as even; singlet-triplet groups
-    T0 and Tm as triplet.
-    """
-    spin = SpinState(int(label))
-    if basis is ReadoutBasis.THREE_STATE:
-        return _SPIN_NAMES[spin]
-    if basis is ReadoutBasis.PARITY:
-        return "even" if spin is SpinState.TM else "odd"
-    return "singlet" if spin is SpinState.S else "triplet"
+    """Map a spin label onto a readout-basis label."""
+    return BASIS_LABELS[basis][_SPIN_TO_BASIS_CODE[basis][SpinState(int(label))]]
 
 
 def window_average(trace: Trace, t_read: float) -> float:
@@ -194,13 +191,6 @@ class MetricReport:
     t_read: float | None = None
     confusion: ConfusionMatrix | None = None
     n_ties: int | None = None
-
-
-# spin code -> index into BASIS_LABELS[basis]
-_SPIN_TO_BASIS_CODE = {
-    basis: np.array([BASIS_LABELS[basis].index(map_basis(s, basis)) for s in SpinState])
-    for basis in ReadoutBasis
-}
 
 
 def _basis_codes(values, basis: ReadoutBasis) -> np.ndarray:

@@ -14,12 +14,12 @@ from spinread.pipeline import TraceBundle
 
 
 def _hmm_dict(gamma_t0=5882.35, gamma_tm=3.448, dt=1e-5, std=0.4,
-              spin=(0.25, 0.25, 0.5)):
+              spin=(0.25, 0.25, 0.5), tlf_up=0.0, means=(0.0, 1.0, 1.0, 1.0, 0.0, 0.0)):
     pi = list(spin) + [0.0, 0.0, 0.0]
-    means = [0.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+    means = list(means)
     return {
         "pi": pi,
-        "rates_hz": {"gamma_t0": gamma_t0, "gamma_tm": gamma_tm, "tlf_up": 0.0, "tlf_down": 0.0},
+        "rates_hz": {"gamma_t0": gamma_t0, "gamma_tm": gamma_tm, "tlf_up": tlf_up, "tlf_down": 0.0},
         "dt_s": dt,
         "emissions": {"means": means, "stds": [std] * 6},
     }
@@ -572,7 +572,29 @@ class TestSnrAndEmit:
 # is bad input that the library rejects with a ValueError
 _CAPACITANCE = {"family": "capacitance", "alpha_drt": 0.17, "t_electron_k": 0.090, "f_rf_hz": 576e6}
 _SWEEP = {"hmm": _hmm_dict(), "classifier": "hmm", "basis": "parity"}
+_SIMULATE = {"n_traces": 5, "n_samples": 5, "seed": 1}
+# a non-finite HMM parameter or a bad EM option: (command, config, the
+# field its config error names)
+_BAD_HMM_VALUES = {
+    "simulate_nan_decay_rate": (
+        "simulate", lambda b: dict(_SIMULATE, hmm=_hmm_dict(gamma_t0=math.nan)), "gamma_t0"),
+    "simulate_infinite_tlf_rate": (
+        "simulate", lambda b: dict(_SIMULATE, hmm=_hmm_dict(tlf_up=math.inf)), "tlf_up"),
+    "simulate_nan_std": ("simulate", lambda b: dict(_SIMULATE, hmm=_hmm_dict(std=math.nan)), "stds"),
+    "simulate_infinite_mean": ("simulate", lambda b: dict(
+        _SIMULATE, hmm=_hmm_dict(means=(0.0, math.inf, 1.0, 1.0, 0.0, 0.0))), "means"),
+    "classify_nan_decay_rate": ("classify", lambda b: dict(
+        _SWEEP, input=b, hmm=_hmm_dict(gamma_tm=math.nan), t_read_s=1e-4), "gamma_tm"),
+    "classify_infinite_dt": ("classify", lambda b: dict(
+        _SWEEP, input=b, hmm=_hmm_dict(dt=math.inf), t_read_s=1e-4), "dt"),
+    "fit_hmm_zero_max_iter": ("fit-hmm", lambda b: {
+        "input": b, "init": _hmm_dict(), "max_iter": 0}, "max_iter"),
+    "fit_hmm_negative_tol": ("fit-hmm", lambda b: {
+        "input": b, "init": _hmm_dict(), "tol": -1e-7}, "tol"),
+    "fit_hmm_nan_tol": ("fit-hmm", lambda b: {"input": b, "init": _hmm_dict(), "tol": math.nan}, "tol"),
+}
 _BAD_INPUTS = {
+    **{case: spec[:2] for case, spec in _BAD_HMM_VALUES.items()},
     "simulate_no_traces": ("simulate", lambda b: {
         "hmm": _hmm_dict(), "n_traces": 0, "n_samples": 5, "seed": 1}),
     "simulate_negative_background": ("simulate", lambda b: {
@@ -643,6 +665,29 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, labelled_bundle, case
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_HMM_VALUES))
+def test_bad_hmm_value_names_the_field_and_writes_nothing(tmp_path, capsys, labelled_bundle, case):
+    command, make_config, field = _BAD_HMM_VALUES[case]
+    config = _write_config(tmp_path, "bad.json", make_config(labelled_bundle))
+    out = tmp_path / "out"
+    # a RuntimeWarning fails the test (pyproject filterwarnings)
+    code, _, err = _run(capsys, [command, "--config", config, "--out", str(out)])
+    assert code == 2
+    assert f"{field} must be" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_nan_rate_from_the_command_line(tmp_path, capsys):
+    config = _write_config(tmp_path, "sim.json", dict(_SIMULATE, hmm=_hmm_dict()))
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, [
+        "simulate", "--config", config, "--set", "hmm.rates_hz.gamma_t0=NaN", "--out", str(out),
+    ])
+    assert code == 2
+    assert "gamma_t0 must be finite" in err
+    assert not any(out.iterdir())
 
 
 def test_bad_manifest_error_names_the_field(tmp_path, capsys, labelled_bundle):

@@ -481,6 +481,20 @@ def test_non_finite_samples_rejected(run):
             run(params, samples)
 
 
+def _switching_fit_inputs():
+    """40 x 25 traces with fluctuator switching, so all six states are
+    live, and an init off in every parameter."""
+    truth = sr.HmmParams.from_spin_model(
+        [0.3, 0.3, 0.4], sr.RateSet(1e4, 1e3, 40.0, 80.0), dt=1e-5, std=0.35,
+        tlf_excited_prob=0.2,
+    )
+    init = sr.HmmParams.from_spin_model(
+        [1 / 3, 1 / 3, 1 / 3], sr.RateSet(2e4, 3e3, 100.0, 100.0), dt=1e-5, std=0.5,
+        v_singlet=-0.1, v_triplet=1.2, tlf_excited_prob=0.1,
+    )
+    return sr.simulate_batch(truth, 40, 25, seed=41), init
+
+
 class TestGoldenValues:
     """Outputs recorded from the implementation that preceded the shared
     forward-backward recursion; the inputs are seeded, so any drift beyond
@@ -520,15 +534,7 @@ class TestGoldenValues:
     def test_em_fit_two_iterations(self):
         # recorded when the M-step moved to the rates; the first
         # log-likelihood (of init) is the one recorded before
-        truth = sr.HmmParams.from_spin_model(
-            [0.3, 0.3, 0.4], sr.RateSet(1e4, 1e3, 40.0, 80.0), dt=1e-5, std=0.35,
-            tlf_excited_prob=0.2,
-        )
-        init = sr.HmmParams.from_spin_model(
-            [1 / 3, 1 / 3, 1 / 3], sr.RateSet(2e4, 3e3, 100.0, 100.0), dt=1e-5, std=0.5,
-            v_singlet=-0.1, v_triplet=1.2, tlf_excited_prob=0.1,
-        )
-        batch = sr.simulate_batch(truth, 40, 25, seed=41)
+        batch, init = _switching_fit_inputs()
         fit = sr.em_fit(batch, init, max_iter=2)
         p = fit.params
         rtol = dict(rtol=1e-12, atol=0)
@@ -558,6 +564,65 @@ class TestGoldenValues:
         np.testing.assert_allclose(p.emissions.means, oracle["means"], rtol=1e-11)
         np.testing.assert_allclose(p.emissions.stds, oracle["stds"], rtol=1e-11)
         np.testing.assert_allclose([p.rates.gamma_t0, p.rates.gamma_tm], oracle["decays"], rtol=1e-11)
+
+
+class TestUntiedEmGolden:
+    """Old-vs-new for untied emissions, whose M-step moved from per-state
+    means of E[y^2] - mu^2 to the grouped m2 - offset * m1 form shared with
+    tied fits: outputs recorded from the per-state implementation on a
+    batch with switching, after three iterations and at convergence."""
+
+    RTOL = dict(rtol=1e-12, atol=0)
+
+    def _check(self, fit, lls, means, stds, rates, pi, final):
+        p = fit.params
+        np.testing.assert_allclose(fit.log_likelihoods[: len(lls)], lls, **self.RTOL)
+        np.testing.assert_allclose(p.emissions.means, means, **self.RTOL)
+        np.testing.assert_allclose(p.emissions.stds, stds, **self.RTOL)
+        np.testing.assert_allclose(
+            [p.rates.gamma_t0, p.rates.gamma_tm, p.rates.tlf_up, p.rates.tlf_down], rates,
+            **self.RTOL,
+        )
+        np.testing.assert_allclose(p.pi, pi, **self.RTOL)
+        np.testing.assert_allclose(fit.final_log_likelihood, final, **self.RTOL)
+
+    def test_three_iterations(self):
+        batch, init = _switching_fit_inputs()
+        fit = sr.em_fit(batch, init, tie_emissions=False, max_iter=3)
+        assert fit.n_iterations == 3 and not fit.converged
+        self._check(
+            fit,
+            lls=[-610.0205548029193, -462.6423048123903, -462.028759663644],
+            means=[-0.008428735215780853, 0.9899491587431138, 1.00307207076488,
+                   0.9790706381114299, 0.018664160260560416, 0.0004307812979696202],
+            stds=[0.3463904719038999, 0.3337762251865855, 0.3637822072262043,
+                  0.36913487084575025, 0.2752975830339105, 0.3493218395096904],
+            rates=[13927.176517994883, 2113.380737191136, 57.18122805145837, 12.470934421112696],
+            pi=[0.32429786348417017, 0.17598137121594024, 0.32026465695652645,
+                0.04744275981803324, 0.07538386501164036, 0.05662948351368953],
+            final=-461.8661763348259,
+        )
+
+    def test_to_convergence(self):
+        batch, init = _switching_fit_inputs()
+        fit = sr.em_fit(batch, init, tie_emissions=False)
+        assert fit.n_iterations == 93 and fit.converged
+        np.testing.assert_allclose(
+            fit.log_likelihoods[-2:], [-457.9422669764727, -457.94222402415926], **self.RTOL
+        )
+        self._check(
+            fit,
+            lls=[-610.0205548029193, -462.6423048123903],
+            means=[0.000653097780433992, 1.0001237009641617, 0.9986786423957815,
+                   0.9700968777603094, 0.0015916216799456758, -0.011429201628174396],
+            stds=[0.31033167790365707, 0.3219129237764205, 0.40601291541563544,
+                  0.3684296646882961, 0.29968199697599995, 0.3671025960572146],
+            rates=[6595.629587483528, 0.0004040185454550635, 2.52370771932329e-21,
+                   4.695258045252356e-24],
+            pi=[2.100261175235865e-06, 0.38408005154545544, 0.15213501999064447,
+                0.00029609065120038153, 0.12054262319884368, 0.34294411435268085],
+            final=-457.94222402415926,
+        )
 
 
 def _m_step_oracle(params, batch, tie_emissions):
@@ -909,6 +974,40 @@ class TestEmFit:
         np.testing.assert_allclose(p.pi, oracle["pi"], rtol=1e-11)
         np.testing.assert_allclose([p.rates.gamma_t0, p.rates.gamma_tm], oracle["decays"], rtol=1e-11)
 
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_variance_floor(self, tie):
+        # charge levels read to 1e-8: every fitted variance is below the
+        # 1e-12 floor, so every std comes back as 1e-6
+        truth = sr.HmmParams.from_spin_model(
+            [0.3, 0.3, 0.4], sr.RateSet(1e4, 3e3, 4e3, 6e3), dt=1e-5, std=1e-8,
+            tlf_excited_prob=0.3,
+        )
+        batch = sr.simulate_batch(truth, 30, 20, seed=26)
+        fit = sr.em_fit(batch, truth, tie_emissions=tie, max_iter=2)
+        assert fit.variance_floored
+        np.testing.assert_array_equal(fit.params.emissions.stds, np.full(N_STATES, 1e-6))
+
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_states_without_occupancy_keep_their_emissions(self, tie):
+        # only (S,G) is prepared and nothing decays or switches, so it is
+        # the only live state. A state whose group has no occupancy keeps
+        # its mean and std: the triplet-signal states tied, all but (S,G)
+        # untied
+        init = sr.HmmParams(
+            pi=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], rates=sr.RateSet(0, 0), dt=1e-5,
+            emissions=sr.EmissionModel(
+                means=[0.1, 1.1, 0.9, 1.3, 0.2, -0.1], stds=[0.5, 0.2, 0.3, 0.4, 0.6, 0.7]
+            ),
+        )
+        truth = sr.HmmParams.from_spin_model([1.0, 0.0, 0.0], sr.RateSet(0, 0), dt=1e-5, std=0.3)
+        batch = sr.simulate_batch(truth, 20, 30, seed=27)
+        fit = sr.em_fit(batch, init, tie_emissions=tie, max_iter=3)
+        idle = list(markov.TRIPLET_SIGNAL_STATES) if tie else [1, 2, 3, 4, 5]
+        p, q = fit.params.emissions, init.emissions
+        np.testing.assert_array_equal(p.means[idle], q.means[idle])
+        np.testing.assert_array_equal(p.stds[idle], q.stds[idle])
+        assert p.means[0] != q.means[0] and p.stds[0] != q.stds[0]
+
     def test_iteration_seconds(self):
         truth = _reference_params()
         batch = sr.simulate_batch(truth, 20, 50, seed=76)
@@ -1031,15 +1130,7 @@ class TestFinalLogLikelihood:
     def test_switching_gap_is_zero(self, tie):
         # every E-step scores a model built from rates, so with switching
         # too the returned parameters are the converged ones
-        truth = sr.HmmParams.from_spin_model(
-            [0.3, 0.3, 0.4], sr.RateSet(1e4, 1e3, 40.0, 80.0), dt=1e-5, std=0.35,
-            tlf_excited_prob=0.2,
-        )
-        init = sr.HmmParams.from_spin_model(
-            [1 / 3, 1 / 3, 1 / 3], sr.RateSet(2e4, 3e3, 100.0, 100.0), dt=1e-5, std=0.5,
-            v_singlet=-0.1, v_triplet=1.2, tlf_excited_prob=0.1,
-        )
-        batch = sr.simulate_batch(truth, 40, 25, seed=41)
+        batch, init = _switching_fit_inputs()
         fit = sr.em_fit(batch, init, tie_emissions=tie)
         lls = fit.log_likelihoods
         assert fit.converged
@@ -1076,3 +1167,56 @@ class TestSerialization:
                 dt=1.0,
                 emissions=sr.EmissionModel(means=np.zeros(6), stds=np.ones(6)),
             )
+
+
+class TestNonFiniteParameters:
+    """A NaN or infinite parameter is rejected where it is stored, naming
+    the field, before any matrix exponential sees it."""
+
+    @pytest.mark.parametrize("name", ["gamma_t0", "gamma_tm", "tlf_up", "tlf_down"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rates(self, name, bad):
+        rates = dict(gamma_t0=1e3, gamma_tm=1e2, tlf_up=1.0, tlf_down=1.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sr.RateSet(**dict(rates, **{name: bad}))
+
+    @pytest.mark.parametrize("field", ["means", "stds"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_emissions(self, field, bad):
+        values = {"means": np.zeros(6), "stds": np.ones(6)}
+        values[field][3] = bad
+        with pytest.raises(ValueError, match=f"emission {field} must be finite"):
+            sr.EmissionModel(**values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_dt(self, bad):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            sr.HmmParams.from_spin_model([0.25, 0.25, 0.5], sr.RateSet(1e3, 1e2), dt=bad)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            transition_matrix(np.zeros((6, 6)), bad)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            sr.TraceBatch(dt=bad, samples=np.zeros((2, 3)))
+
+    def test_pi(self):
+        with pytest.raises(ValueError, match="pi must be"):
+            sr.HmmParams(
+                pi=[math.nan, 0.5, 0.5, 0.0, 0.0, 0.0], rates=sr.RateSet(0, 0), dt=1.0,
+                emissions=sr.EmissionModel(means=np.zeros(6), stds=np.ones(6)),
+            )
+
+    @pytest.mark.parametrize(
+        "option, match",
+        [
+            (dict(max_iter=0), "max_iter must be >= 1"),
+            (dict(max_iter=-2), "max_iter must be >= 1"),
+            (dict(tol=-1e-7), "tol must be finite"),
+            (dict(tol=math.nan), "tol must be finite"),
+            (dict(tol=math.inf), "tol must be finite"),
+        ],
+        ids=["max_iter_zero", "max_iter_negative", "tol_negative", "tol_nan", "tol_inf"],
+    )
+    def test_em_fit_options(self, option, match):
+        truth = _reference_params()
+        batch = sr.simulate_batch(truth, 5, 20, seed=77)
+        with pytest.raises(ValueError, match=match):
+            sr.em_fit(batch, truth, **option)
