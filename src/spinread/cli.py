@@ -5,8 +5,9 @@ overrides), writes its outputs atomically under ``--out``, and prints a
 RunReport as JSON on stdout. Randomized commands require an explicit
 seed. Exit codes: 0 success, 2 config error, 3 missing input, 4
 numerical non-convergence (partial outputs are still written). Any
-``ValueError`` from the library is a config error: :func:`main` maps it
-to exit 2 in one place.
+``ValueError`` from the library is a config error and any
+``FileNotFoundError`` a missing input: :func:`main` maps each to its exit
+code in one place. ``output`` names a file in ``--out``, never a path.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .pipeline import (
     noise_scaling,
     with_linear_drift,
 )
-from .readout import ReadoutBasis, fidelity_sweep, map_basis, window_average_batch
+from .readout import ReadoutBasis, _window_means, fidelity_sweep, map_basis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,10 +47,6 @@ SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class MissingInputError(Exception):
     pass
 
 
@@ -160,6 +157,9 @@ def _validate_config(command: str, config: dict) -> dict:
             raise ConfigError(f"missing required config key {key!r} for {command}")
         else:
             out[key] = default
+    name = out["output"]
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ConfigError(f"output must be a bare file name, got {name!r}")
     return out
 
 
@@ -180,15 +180,7 @@ def _set_override(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def _require_file(path: str) -> str:
-    if not os.path.exists(path):
-        raise MissingInputError(path)
-    return path
-
-
 def _require_bundle(prefix: str) -> TraceBundle:
-    _require_file(prefix + ".manifest.json")
-    _require_file(prefix + ".f64")
     try:
         return TraceBundle.load(prefix)
     except (TypeError, ValueError) as exc:
@@ -373,7 +365,7 @@ def _cmd_fit_hmm(config, seed, out_dir):
 
 
 def _cmd_fit_histogram(config, seed, out_dir):
-    data = _read_csv_columns(_require_file(config["input_csv"]), 2)
+    data = _read_csv_columns(config["input_csv"], 2)
     init = _density_from_config(config["init"])
     params, fit = fit_histogram(data[:, 0], data[:, 1], float(config["t_s"]), config["mode"], init)
     payload = {
@@ -405,7 +397,7 @@ def _cmd_fit_physics(config, seed, out_dir):
         model = get_model(config["model"])
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
-    data = _read_csv_columns(_require_file(config["input_csv"]), 2)
+    data = _read_csv_columns(config["input_csv"], 2)
     weights = data[:, 2] if data.shape[1] >= 3 else None
     fit = fit_model(model, data[:, 0], data[:, 1], init=config["init"], weights=weights)
     payload = {
@@ -429,7 +421,7 @@ def _cmd_snr(config, seed, out_dir):
     if mode == "iq":
         if not config["input_csv"]:
             raise ConfigError("snr mode 'iq' requires input_csv")
-        data = _read_csv_columns(_require_file(config["input_csv"]), 2)
+        data = _read_csv_columns(config["input_csv"], 2)
         proj = iq_project(IqBatch(data[:, :2]))
         payload = {
             "delta_v": proj.delta_v,
@@ -474,7 +466,7 @@ def _cmd_emit(config, seed, out_dir):
         if config["input"] is None or config["t_read_s"] is None:
             raise ConfigError("histogram family requires input and t_read_s")
         bundle = _require_bundle(config["input"])
-        avgs = window_average_batch(bundle.to_batch(), config["t_read_s"])
+        avgs = _window_means(bundle.to_batch(), [config["t_read_s"]])[0]
         centers, counts = build_histogram(avgs, config["bins"])
         width = centers[1] - centers[0]
         total = counts.sum()
@@ -540,8 +532,6 @@ def main(argv=None) -> int:
     try:
         raw_config = {}
         if args.config:
-            if not os.path.exists(args.config):
-                raise MissingInputError(args.config)
             with open(args.config) as fh:
                 try:
                     raw_config = json.load(fh)
@@ -557,6 +547,8 @@ def main(argv=None) -> int:
         config = _validate_config(args.command, raw_config)
         report["seed"] = seed
         report["config"] = config
+        if not args.out:
+            raise ConfigError("--out must name a directory")
         os.makedirs(args.out, exist_ok=True)
         results, outputs = _COMMANDS[args.command](config, seed, args.out)
         report["results"] = results
@@ -565,8 +557,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingInputError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
+    except FileNotFoundError as exc:
+        print(f"missing input: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except NonConvergenceError as exc:
         report["results"] = exc.report

@@ -1,8 +1,9 @@
 """Damped (Levenberg-style) nonlinear least squares with box bounds.
 
-One engine backs every curve fit in the package: physics lineshapes,
-transition-probability curves and histogram models all register a
-:class:`PhysicsModel` and go through :func:`fit_model`.
+One engine backs every curve fit in the package. Physics lineshapes and
+transition-probability curves register a :class:`PhysicsModel` and go
+through :func:`fit_model`; ``analytic.fit_histogram`` calls
+:func:`least_squares_damped` directly.
 """
 
 from __future__ import annotations

@@ -42,9 +42,11 @@ class BundleManifest:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"manifest {name} must be an integer >= {least}, got {value!r}")
-        dt = self.dt
+        dt, v0 = self.dt, self.v0
         if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0.0 < dt < math.inf:
             raise ValueError(f"manifest dt must be finite and > 0, got {dt!r}")
+        if isinstance(v0, bool) or not isinstance(v0, numbers.Real) or not -math.inf < v0 < math.inf:
+            raise ValueError(f"manifest v0 must be a finite real, got {v0!r}")
 
 
 class TraceBundle:
@@ -104,14 +106,12 @@ class TraceBundle:
 
     @classmethod
     def load(cls, prefix: str) -> "TraceBundle":
-        manifest_path = f"{prefix}.manifest.json"
-        data_path = f"{prefix}.f64"
-        for path in (manifest_path, data_path):
-            if not os.path.exists(path):
-                raise FileNotFoundError(path)
-        with open(manifest_path) as fh:
-            manifest = BundleManifest(**json.load(fh))
-        raw = np.fromfile(data_path, dtype="<f8")
+        # both files are read before either is checked, so a missing file
+        # is reported as missing whatever the other one holds
+        with open(f"{prefix}.manifest.json") as fh:
+            text = fh.read()
+        raw = np.fromfile(f"{prefix}.f64", dtype="<f8")
+        manifest = BundleManifest(**json.loads(text))
         cols = manifest.background_samples + manifest.n_samples
         if raw.size != manifest.n_traces * cols:
             raise ValueError("data file size does not match manifest dimensions")

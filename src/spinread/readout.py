@@ -56,20 +56,15 @@ def map_basis(label, basis: ReadoutBasis) -> str:
 
 def window_average(trace: Trace, t_read: float) -> float:
     """Mean of the first floor(t_read/dt) samples (at least one)."""
-    n = _window_samples(trace.dt, trace.samples.size, t_read)
-    return float(trace.samples[:n].mean())
-
-
-def window_average_batch(batch: TraceBatch, t_read: float) -> np.ndarray:
-    n = _window_samples(batch.dt, batch.n_samples, t_read)
-    return batch.samples[:, :n].mean(axis=1)
+    one_row = TraceBatch(trace.dt, trace.samples[np.newaxis])
+    return float(_window_means(one_row, [t_read])[0, 0])
 
 
 def _window_means(batch: TraceBatch, t_read_list) -> np.ndarray:
     """Window average of every trace at each readout time, from one
-    cumulative sum: shape (len(t_read_list), n_traces)."""
+    cumulative sum up to the longest window: shape (len(t_read_list), n_traces)."""
     ends = np.array([_window_samples(batch.dt, batch.n_samples, t) for t in t_read_list], dtype=int)
-    return (np.cumsum(batch.samples, axis=1)[:, ends - 1] / ends).T
+    return (np.cumsum(batch.samples[:, : ends.max()], axis=1)[:, ends - 1] / ends).T
 
 
 def threshold_classify(avg, threshold: float, polarity: bool = True):
@@ -139,9 +134,8 @@ def hmm_classify(params: HmmParams, trace: Trace, t_read: float | None = None) -
     each spin; argmax ties resolve in canonical order S < T0 < Tm and are
     flagged.
     """
-    _check_dt(params, trace.dt)
-    n = _window_samples(trace.dt, trace.samples.size, t_read)
-    labels, post, ties = _classify_windows(params, trace.samples[np.newaxis, :n])
+    one_row = TraceBatch(trace.dt, trace.samples[np.newaxis])
+    labels, post, ties = hmm_classify_batch(params, one_row, t_read)
     return HmmClassification(
         spin=SpinState(int(labels[0])), spin_posterior=post[0], tie=bool(ties[0])
     )
@@ -151,11 +145,7 @@ def hmm_classify_batch(params: HmmParams, batch: TraceBatch, t_read: float | Non
     """Batched :func:`hmm_classify`; returns (labels, spin_posteriors, ties)."""
     _check_dt(params, batch.dt)
     n = _window_samples(batch.dt, batch.n_samples, t_read)
-    return _classify_windows(params, batch.samples[:, :n])
-
-
-def _classify_windows(params: HmmParams, samples: np.ndarray):
-    gamma0, _ = start_posterior_batch(params, samples)
+    gamma0, _ = start_posterior_batch(params, batch.samples[:, :n])
     return _spin_labels(gamma0)
 
 

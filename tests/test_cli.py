@@ -10,7 +10,8 @@ from spinread import cli
 from spinread.cli import main
 from spinread.constants import E_CHARGE, HBAR
 from spinread.markov import HmmParams, log_likelihood
-from spinread.pipeline import TraceBundle
+from spinread.pipeline import TraceBundle, build_histogram
+from spinread.readout import _window_means, window_average
 
 
 def _hmm_dict(gamma_t0=5882.35, gamma_tm=3.448, dt=1e-5, std=0.4,
@@ -313,14 +314,16 @@ class TestPreprocess:
         assert digests == self.GOLDEN_FILES
 
     # sha256 of each output of the commands that read a bundle, recorded
-    # when the bundle still handed copies of its matrix to the kernels.
+    # when the bundle still handed copies of its matrix to the kernels;
+    # hist.csv re-recorded once its averages came from the sweep's
+    # cumulative sum (same counts, centres within one ulp of the .mean ones).
     # fit-hmm's per-iteration wall times are dropped before hashing.
     GOLDEN_READ_FILES = {
         "sweep_threshold.csv": "9b2e4fa50ea84542453c70541416f14ad59174d062e842d8baa33b1e71b2c1e3",
         "sweep_hmm.csv": "4260bf325d4857d044818d3339d2b2637b9ab98cf95e8e5574b456e9c9093b50",
         "classify.csv": "7c86dabae746381fa1e54a96ccc0045865d2e3e4324bb24787974476d155f425",
         "fit_hmm.json": "1201f2c2539a53a03ecf3611ca4ac3fb8e731ea8fd29e2ea8c5cc4ecdccb4d80",
-        "hist.csv": "1203e56d44d4d89bc24fd1ebfbac74a48e9eb52fa24e1283dd52b9eb57edb0f3",
+        "hist.csv": "02709b792d135c3f2df9c243c7a84442075ded243f9f579d6738e97b32e84c70",
         "snr.csv": "afc48cea44283732dbb3f4ecd83b201b12941f19e4ac1f2385f1967b77eb6a75",
     }
 
@@ -554,6 +557,32 @@ class TestSnrAndEmit:
         assert lines[0] == "bin_center,count,density_two_state,density_three_state"
         assert len(lines) == 42
 
+    def test_emit_histogram_averages_are_the_sweep_kernel_bit_for_bit(self, tmp_path, capsys, monkeypatch):
+        sim = _write_config(tmp_path, "sim.json", {
+            "hmm": _hmm_dict(), "n_traces": 200, "n_samples": 60, "output": "sim",
+        })
+        assert main(["simulate", "--config", sim, "--seed", "13", "--out", str(tmp_path)]) == 0
+        emitted = []
+
+        def capture(values, bins):
+            emitted.append(np.array(values))
+            return build_histogram(values, bins)
+
+        monkeypatch.setattr(cli, "build_histogram", capture)
+        t_read = 2e-4
+        config = _write_config(tmp_path, "emit.json", {
+            "family": "histogram", "input": str(tmp_path / "sim"), "t_read_s": t_read,
+        })
+        assert main(["emit", "--config", config, "--out", str(tmp_path)]) == 0
+        batch = TraceBundle.load(str(tmp_path / "sim")).to_batch()
+        # the sweep takes every window from one cumulative sum up to the
+        # longest, which stops short of the trace end here
+        swept = _window_means(batch, [5e-5, t_read, 4e-4])[1]
+        single = [window_average(batch[k], t_read) for k in range(batch.n_traces)]
+        np.testing.assert_array_equal(emitted[0], swept)
+        np.testing.assert_array_equal(emitted[0], single)
+        np.testing.assert_allclose(emitted[0], batch.samples[:, :20].mean(axis=1), rtol=0, atol=1e-15)
+
     def test_emit_histogram_window_beyond_trace_is_config_error(self, tmp_path, capsys):
         sim = _write_config(tmp_path, "sim.json", {
             "hmm": _hmm_dict(), "n_traces": 20, "n_samples": 10, "output": "sim",
@@ -696,3 +725,92 @@ def test_bad_manifest_error_names_the_field(tmp_path, capsys, labelled_bundle):
     code, _, err = _run(capsys, [command, "--config", config, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "background_samples" in err
+
+
+def _manifest_only(prefix, new, edit=None):
+    """``new``: a copy of the bundle's manifest (changed by ``edit``) with no data file."""
+    with open(prefix + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    if edit:
+        edit(manifest)
+    with open(new + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    return new
+
+
+def _data_only(prefix, new):
+    """``new``: a copy of the bundle's data file with no manifest."""
+    with open(prefix + ".f64", "rb") as src, open(new + ".f64", "wb") as dst:
+        dst.write(src.read())
+    return new
+
+
+# (command, config given the prefix of a labelled bundle and an absent
+# path, the path the error must name); a None config makes the absent
+# path the --config file itself
+_MISSING_INPUTS = {
+    "config_file": lambda b, m: ("simulate", None, m),
+    "bundle_manifest": lambda b, m: (
+        "classify", dict(_SWEEP, input=_data_only(b, m), t_read_s=1e-4), m + ".manifest.json"),
+    "bundle_data": lambda b, m: (
+        "classify", dict(_SWEEP, input=_manifest_only(b, m), t_read_s=1e-4), m + ".f64"),
+    "bundle_data_beside_a_bad_manifest": lambda b, m: (
+        "emit", {"family": "histogram", "t_read_s": 1e-4,
+                 "input": _manifest_only(b, m, lambda d: d.update(version=99, v0=None))}, m + ".f64"),
+    "fit_physics_csv": lambda b, m: (
+        "fit-physics", {"model": "lz", "input_csv": m, "init": [1e-26]}, m),
+    "fit_histogram_csv": lambda b, m: (
+        "fit-histogram", {"input_csv": m, "t_s": 1e-4, "mode": "two_state", "init": {}}, m),
+    "snr_iq_csv": lambda b, m: ("snr", {"mode": "iq", "input_csv": m}, m),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSING_INPUTS))
+def test_missing_input_exits_3_naming_the_path(tmp_path, capsys, labelled_bundle, case):
+    absent = str(tmp_path / "absent")
+    command, payload, missing = _MISSING_INPUTS[case](labelled_bundle, absent)
+    config = absent if payload is None else _write_config(tmp_path, "cfg.json", payload)
+    capsys.readouterr()
+    code = main([command, "--config", config, "--seed", "1", "--out", str(tmp_path / "out")])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err.splitlines() == [f"missing input: {missing}"]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", dict(_SIMULATE, hmm=_hmm_dict())),
+    ("emit", _CAPACITANCE),
+], ids=["simulate", "emit"])
+@pytest.mark.parametrize("output", ["", ".", "..", "../../escape", "sub/x", "x/", "ABSOLUTE"])
+def test_output_that_is_not_a_bare_file_name_exits_2_and_writes_nothing(
+        tmp_path, capsys, command, payload, output):
+    work = tmp_path / "work"
+    work.mkdir()
+    if output == "ABSOLUTE":
+        output = str(tmp_path / "escape")
+    config = _write_config(tmp_path, "cfg.json", dict(payload, output=output))
+    before = sorted(tmp_path.rglob("*"))
+    code, report, err = _run(capsys, [command, "--config", config, "--out", str(work / "a" / "out")])
+    assert code == 2 and report is None
+    assert "output must be a bare file name" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_empty_out_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = _write_config(tmp_path, "emit.json", _CAPACITANCE)
+    code, report, err = _run(capsys, ["emit", "--config", config, "--out", ""])
+    assert code == 2 and report is None
+    assert "--out" in err
+    assert os.listdir(tmp_path) == ["emit.json"]
+
+
+@pytest.mark.parametrize("v0", ["NaN", "Infinity", "-Infinity", "true"])
+def test_non_finite_v0_exits_2_and_writes_nothing(tmp_path, capsys, v0):
+    config = _write_config(tmp_path, "sim.json", dict(_SIMULATE, hmm=_hmm_dict()))
+    out = tmp_path / "out"
+    code, report, err = _run(capsys, ["simulate", "--config", config, "--set", f"v0={v0}", "--out", str(out)])
+    assert code == 2 and report is None
+    assert "v0" in err
+    assert not out.exists() or not any(out.iterdir())

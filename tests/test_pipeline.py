@@ -309,7 +309,8 @@ class TestPersistence:
         ("n_samples", 0), ("n_samples", -1), ("n_samples", 5.5), ("n_samples", False),
         ("background_samples", -5), ("background_samples", 1.0), ("background_samples", True),
         ("dt", 0.0), ("dt", -1e-5), ("dt", math.nan), ("dt", math.inf), ("dt", "1e-5"),
-        ("dt", True),
+        ("dt", True), ("v0", math.nan), ("v0", math.inf), ("v0", -math.inf), ("v0", True),
+        ("v0", "1.0"), ("v0", None),
     ])
     def test_bad_manifest_field_rejected(self, field, bad):
         fields = dict(dt=1e-5, n_traces=3, n_samples=5, background_samples=0)

@@ -306,6 +306,19 @@ class TestHmmClassify:
         )
         np.testing.assert_array_equal(labels, labels2)
 
+    def test_trace_k_alone_is_row_k_of_the_batch(self):
+        # hmm_classify runs on a one-row batch; equal T0/Tm preparation and
+        # decay rates make high traces ties
+        params = sr.HmmParams.from_spin_model([0.2, 0.4, 0.4], sr.RateSet(2e3, 2e3), dt=1e-5, std=0.5)
+        batch = sr.simulate_batch(params, 60, 40, seed=73)
+        for t in (5e-5, 2e-4, None):
+            labels, post, ties = hmm_classify_batch(params, batch, t)
+            assert ties.any() and not ties.all()
+            for k in range(len(batch)):
+                c = hmm_classify(params, batch[k], t)
+                assert (c.spin, c.tie) == (labels[k], ties[k])
+                np.testing.assert_allclose(c.spin_posterior, post[k], rtol=0, atol=1e-12)
+
 
 class TestFidelitySweep:
     def test_white_noise_matches_electrical_fidelity(self):
