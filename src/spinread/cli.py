@@ -5,9 +5,10 @@ overrides), writes its outputs atomically under ``--out``, and prints a
 RunReport as JSON on stdout. Randomized commands require an explicit
 seed. Exit codes: 0 success, 2 config error, 3 missing input, 4
 numerical non-convergence (partial outputs are still written). Any
-``ValueError`` from the library is a config error and any
-``FileNotFoundError`` a missing input: :func:`main` maps each to its exit
-code in one place. ``output`` names a file in ``--out``, never a path.
+``ValueError`` from the library is a config error, and any
+``FileNotFoundError`` or ``IsADirectoryError`` a missing input: :func:`main`
+maps each to its exit code in one place. ``output`` names a file in
+``--out``, never a path.
 """
 
 from __future__ import annotations
@@ -549,7 +550,10 @@ def main(argv=None) -> int:
         report["config"] = config
         if not args.out:
             raise ConfigError("--out must name a directory")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ConfigError("--out must name a directory") from None
         results, outputs = _COMMANDS[args.command](config, seed, args.out)
         report["results"] = results
         report["outputs"] = outputs
@@ -559,6 +563,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing input: {exc.filename}", file=sys.stderr)
+        return EXIT_MISSING_INPUT
+    except IsADirectoryError as exc:
+        # a rename onto a directory names it second
+        print(f"is a directory: {exc.filename2 or exc.filename}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except NonConvergenceError as exc:
         report["results"] = exc.report

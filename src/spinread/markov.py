@@ -19,6 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -460,12 +461,13 @@ def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, r
     """State-major emission likelihoods of the hidden states ``rows``,
     rescaled so that the best of all six states has 1.
 
-    yt is (T, n), one trace per column. Each distinct (mean, std) pair is
-    evaluated once. Returns b of shape (T, len(rows), n), C-contiguous so
-    that each step's (k, n) slice is one block of memory whatever the
-    layout of yt (often a transposed view), and the per-trace sum over
-    steps of the log-scale shift that was subtracted, (n,), to be added
-    back to log-likelihoods.
+    yt is (T, ...), time first and the traces on the trailing axes, e.g.
+    (T, n) or a chunk's folded (S, L, n) (:class:`_Segments`). Each
+    distinct (mean, std) pair is evaluated once. Returns b of shape
+    (T, len(rows), ...), C-contiguous so that each step's slice is one
+    block of memory whatever the layout of yt (often a transposed view),
+    and the per-trace sum over steps of the log-scale shift that was
+    subtracted, yt.shape[1:], to be added back to log-likelihoods.
     """
     pair_index = {}
     pair_of = np.array([
@@ -473,13 +475,14 @@ def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, r
         for pair in zip(means.tolist(), stds.tolist())
     ])
     mu, sd = np.array(list(pair_index)).T
-    b = np.subtract(yt[:, None, :], mu[:, None], order="C")
-    b /= sd[:, None]
+    per_pair = (-1,) + (1,) * (yt.ndim - 1)
+    b = np.subtract(yt[:, None], mu.reshape(per_pair), order="C")
+    b /= sd.reshape(per_pair)
     b *= b
     b *= -0.5
-    b -= (np.log(sd) + _LOG_SQRT_2PI)[:, None]
+    b -= (np.log(sd) + _LOG_SQRT_2PI).reshape(per_pair)
     shift = b.max(axis=1)
-    b -= shift[:, None, :]
+    b -= shift[:, None]
     np.exp(b, out=b)
     pick = pair_of[rows]
     if not np.array_equal(pick, np.arange(mu.size)):
@@ -499,45 +502,229 @@ def _check_scales(c: np.ndarray) -> None:
         raise ZeroLikelihoodError(int(bad.any(axis=1).argmax()))
 
 
-def _forward(pi: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Scaled forward recursion (Rabiner 1989) over b from _emission_likelihoods.
+# Elements one step of a time-segmented pass carries, k * k * n * L for a
+# chunk of n traces over k live states: below this a step's cost is its
+# numpy calls, not its arithmetic, so the chunk's steps are split into L
+# segments that run side by side (_segment_count).
+_SEGMENT_ELEMENTS = 57_000
+# A stitch whose per-trace norm is not above this is not trusted, and the
+# chunk runs again unsegmented (_transfer_pass).
+_STITCH_FLOOR = 1e-250
 
-    Returns the normalised forward variables alpha (T, k, n) and their
-    scales c (T, n); the log-likelihood is the sum of log c_t plus the
-    emission shift. Four numpy calls per step; the scales are checked
-    once, after the loop (:func:`_check_scales`).
+
+def _segment_count(k: int, n: int, t_len: int) -> int:
+    """Segments L for a chunk of n traces of t_len steps over k live states:
+    1 once k * k * n reaches _SEGMENT_ELEMENTS, and never more than
+    sqrt(t_len), which balances the t_len / L steps of the segments against
+    the L steps of the stitch."""
+    return max(1, min(_SEGMENT_ELEMENTS // (k * k * n), math.isqrt(t_len)))
+
+
+class _Segments:
+    """A trace chunk y (n, T) with its T steps folded into L segments of S.
+
+    Segment l holds steps l*S .. l*S + S - 1 and runs as n more traces:
+    column l*n + j of every (..., L*n) array is trace j in segment l. ``b``
+    (S, k, L*n) holds the emission factors of the live rows, ``shift`` (n,)
+    their per-trace log-scale shift and ``y`` (S, L, n) the folded samples.
+    The last segment has ``last`` real steps; the steps that pad it to S
+    have emission factor 1, so they only propagate by the one-step matrix,
+    which keeps the forward sum. With L = 1 this is the chunk as it is.
     """
-    a_t = a.T
-    alphas = np.empty(b.shape)
-    c = np.empty((b.shape[0], b.shape[2]))
-    alpha = np.multiply(pi[:, None], b[0], out=alphas[0])
+
+    def __init__(self, params: HmmParams, live: np.ndarray, y: np.ndarray, count: int):
+        n, t_len = y.shape
+        span = -(-t_len // count)
+        count = -(-t_len // span)
+        pad = count * span - t_len
+        if pad:
+            y = np.concatenate((y, np.zeros((n, pad))), axis=1)
+        self.y = y.reshape(n, count, span).transpose(2, 1, 0)
+        means, stds = params.emissions.means, params.emissions.stds
+        # one segment goes in as (T, n): the emission builder is slower over
+        # a singleton axis
+        b, shift = _emission_likelihoods(self.y if count > 1 else self.y[:, 0], means, stds, live)
+        shift = shift.reshape(count, n)
+        if pad:
+            b[span - pad:, :, -1] = 1.0
+            shift[-1] -= pad * _emission_likelihoods(np.zeros((1, 1)), means, stds, live)[1][0]
+        self.n, self.span, self.count, self.last = n, span, count, span - pad
+        self.b = b.reshape(span, live.size, count * n)
+        self.shift = shift.sum(axis=0)
+
+
+def _carry(a_t: np.ndarray, x: np.ndarray, b: np.ndarray, c: np.ndarray, out=None):
+    """The carried-state recursion of every pass, over b (S, k, cols).
+
+    x (k, w, cols) is step 0's state, already weighted by b_0: w state
+    vectors per column. Each later step propagates x by the one-step matrix
+    and weights it by b_s / c_{s-1}, so the per-column normalisation of
+    step s-1 rides on step s's emission factor; c_s, the sum of x_s over
+    its k * w entries, is written to c (S, cols). Four numpy calls per step.
+    Yields (s, x_s); with ``out`` (S, k, w, cols) x_s is also kept there.
+    """
+    k, w, cols = x.shape
+    if out is not None:
+        out[0] = x
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(b.shape[0]):
-            if t > 0:
-                alpha = np.matmul(a_t, alpha, out=alphas[t])
-                alpha *= b[t]
-            alpha.sum(axis=0, out=c[t])
-            alpha /= c[t]
-    _check_scales(c)
-    return alphas, c
+        for s in range(b.shape[0]):
+            if s > 0:
+                into = None if out is None else out[s].reshape(k, w * cols)
+                x = np.matmul(a_t, x.reshape(k, w * cols), out=into).reshape(k, w, cols)
+                x *= (b[s] / c[s - 1])[:, None, :]
+            x.reshape(k * w, cols).sum(axis=0, out=c[s])
+            yield s, x
 
 
-def _backward(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Scaled backward recursion with the forward scales c (T, n).
+def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.ndarray, read_at):
+    """Every segment's transfer matrix at once, then the stitch.
 
-    Yields (t, beta_t, w_t) for t = T-1 down to 0: the scaled backward
-    variable beta_t (k, n) and w_t = b_t beta_t / c_t, so that
-    beta_{t-1} = a @ w_t, the posterior is alpha_t beta_t and the expected
-    transition counts from step t-1 are alpha_{t-1}(i) a(i, j) w_t(j).
-    Spends b: it is divided by c in place, once, and w_t is written over
-    b_t, so a step costs two numpy calls.
+    Segment l > 0 carries k columns from the identity, so its last state is,
+    up to scale, the matrix P_l that takes the forward variable at the end
+    of segment l-1 to the end of segment l; segment 0 starts from diag(pi)
+    and so ends on the joint forward variable J(s, s0) (Cappe, Moulines &
+    Ryden 2005). The stitch U_l = P_l U_{l-1}, over the start states
+    ``start``, gives J at the end of every segment in L small steps, as in
+    the temporal parallelisation of Sarkka & Garcia-Fernandez (2021).
+    ``read_at`` maps a step s of the segments to the (t, l) read there: the
+    column sums 1^T P_l(t) (k, n) of segment l's partial transfer, which
+    turn U_{l-1} into the time-zero posterior of the window ending at t.
+
+    Returns (U (L, n, k, m), P (L, n, k, k), the per-trace log-likelihood
+    without the emission shift, {t: reads}), with each U_l and P_l summing
+    to 1 per trace; or None if a stitch norm is not above _STITCH_FLOOR.
+    That happens where a trace's likelihood vanishes, since then the mass
+    the transfer carries from the live start states does (even if the
+    transfer from the identity does not), or where those start states
+    carry only underflowing mass; the caller then runs unsegmented.
     """
-    b /= c[:, None, :]
-    beta = np.ones(b.shape[1:])
-    for t in range(b.shape[0] - 1, -1, -1):
-        w = np.multiply(beta, b[t], out=b[t])
-        yield t, beta, w
+    k, n, count = pi.size, seg.n, seg.count
+    first = np.empty((k, k, count, 1))
+    first[:, :, 0, 0] = np.diag(pi)
+    first[:, :, 1:, 0] = a_t[:, :, None]
+    x = (first * seg.b[0].reshape(k, 1, count, n)).reshape(k, k, count * n)
+    c = np.empty((seg.span, count * n))
+    reads = {}
+    for s, x in _carry(a_t, x, seg.b, c):
+        for t, l in read_at.get(s, ()):
+            reads[t] = x[:, :, l * n:(l + 1) * n].sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.ascontiguousarray((x / c[-1]).reshape(k, k, count, n).transpose(2, 3, 0, 1))
+        u = np.empty((count, n, k, start.size))
+        norm = np.empty((count, n))
+        u[0] = p[0][:, :, start]
+        for l in range(count):
+            if l > 0:
+                np.matmul(p[l], u[l - 1], out=u[l])
+            u[l].sum(axis=(1, 2), out=norm[l])
+            u[l] /= norm[l][:, None, None]
+    if not np.all(norm > _STITCH_FLOOR):
+        return None
+    log_lik = np.log(c).reshape(seg.span, count, n).sum(axis=(0, 1)) + np.log(norm).sum(axis=0)
+    return u, p, log_lik, reads
+
+
+class _Forward(NamedTuple):
+    """A trace chunk's forward pass (:func:`_forward_chunk`)."""
+
+    seg: _Segments
+    alphas: np.ndarray | None  # (S + 1, k, L*n), kept with ``store``
+    c: np.ndarray | None  # (S, L*n): alphas[s + 1] sums to c[s]
+    p: np.ndarray | None  # (L, n, k, k) segment transfers, for L > 1
+    ll: float  # the chunk's log-likelihood
+
+
+def _forward_chunk(params: HmmParams, chain, y: np.ndarray, store: bool) -> _Forward:
+    """Forward pass of the live ``chain`` = (live, pi, a) over one trace chunk y (n, T).
+
+    The transfers and their stitch give the log-likelihood. With ``store``
+    every segment is then run at once from the stitched forward variable
+    at its start, keeping alphas: slot s + 1 the forward variable of step s
+    scaled to sum to c_s (:func:`_carry`), slot 0 the normalised one each
+    segment starts from (zeros for segment 0). A stitch that fails or a
+    scale that is not > 0 sends the chunk to L = 1, where
+    :func:`_check_scales` reports the first step at which a likelihood
+    vanished.
+    """
+    live, pi, a = chain
+    k, start = live.size, np.flatnonzero(pi > 0.0)
+    # segmented first; unsegmented if the stitch cannot be trusted
+    for count in dict.fromkeys((_segment_count(k, *y.shape), 1)):
+        seg = _Segments(params, live, y, count)
+        n, count = seg.n, seg.count
+        ll = float(seg.shift.sum())
+        p = None
+        prop = np.empty((k, count * n))
+        prop[:, :n] = pi[:, None]
+        alphas = np.zeros((seg.span + 1, k, count * n)) if store else None
+        if count > 1:
+            stitched = _transfer_pass(seg, pi, a.T, start, {})
+            if stitched is None:
+                continue
+            u, p, log_lik, _ = stitched
+            ll += float(log_lik.sum())
+            if not store:
+                return _Forward(seg, None, None, p, ll)
+            alphas[0, :, n:] = u[:-1].sum(axis=3).transpose(2, 0, 1).reshape(k, (count - 1) * n)
+            prop[:, n:] = a.T @ alphas[0, :, n:]
+        c = np.empty((seg.span, count * n))
+        out = alphas[1:, :, None] if store else None
+        for _ in _carry(a.T, (prop * seg.b[0])[:, None], seg.b, c, out):
+            pass
+        if count == 1:
+            _check_scales(c)
+            ll += float(np.log(c).sum())
+        elif not np.all(c > 0.0):
+            continue
+        return _Forward(seg, alphas, c, p, ll)
+
+
+def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
+    """Backward pass over a stored forward pass ``fwd`` (:func:`_forward_chunk`).
+
+    Returns the posteriors gamma (L*S, k, n) in time order, zero at padded
+    steps, and with ``xi`` the expected transition counts (k, k) without
+    the factor a(i, j), else None. The backward variable at the end
+    of segment l-1 is P_l^T times the one at the end of segment l, scaled
+    so that sum alpha * beta = 1 there, as the scaled recursion keeps it at
+    every step. Then all segments run the scaled backward recursion
+    (Rabiner 1989) at once, on the forward variables as the recursion left
+    them, x_s = c_s alpha_s, and carrying beta_s / c_s, so that neither
+    needs a pass of its own: w_s = (beta_s / c_s) b_s / c_{s-1} is written
+    over b_s (b is spent), gamma_s = x_s beta_s / c_s over x_s,
+    beta_{s-1} / c_{s-1} = a w_s, and the counts from step s-1 are
+    x_{s-1}(i) a(i, j) w_s(j), with slot 0 of alphas giving alpha at the
+    end of the previous segment (c_{-1} = 1). The last segment starts at its
+    last real step with beta = 1; its padded steps have beta = 0. Four
+    numpy calls per step, five with ``xi``.
+    """
+    seg, alphas, c, p, _ = fwd
+    k, n, count = alphas.shape[1], seg.n, seg.count
+    cut = (count - 1) * n
+    beta = np.zeros((k, count * n))
+    if count > 1:
+        ends = np.empty((count, n, k, 1))
+        ends[-1] = 1.0
+        v = alphas[0, :, n:].reshape(k, count - 1, n)
+        for l in range(count - 1, 0, -1):
+            np.matmul(p[l].transpose(0, 2, 1), ends[l], out=ends[l - 1])
+            ends[l - 1] /= (v[:, l - 1].T * ends[l - 1, :, :, 0]).sum(axis=1)[:, None, None]
+        beta[:, :cut] = ends[:-1, :, :, 0].transpose(2, 0, 1).reshape(k, cut)
+    # beta / c, so that gamma_s = x_s * beta_s / c_s needs no pass over x
+    beta[:, :cut] /= c[-1, :cut]
+    b = seg.b
+    step_xi = np.empty((seg.span, k, k)) if xi else None
+    for s in range(seg.span - 1, -1, -1):
+        if s == seg.last - 1:
+            beta[:, cut:] = 1.0 / c[s, cut:]
+        w = np.multiply(beta, b[s] / c[s - 1] if s else b[0], out=b[s])
+        if xi:
+            np.matmul(alphas[s], w.T, out=step_xi[s])
+        alphas[s + 1] *= beta
         beta = a @ w
+    # (S, k, L, n) to time order; one copy is cheaper than strided writes
+    gamma = alphas[1:].reshape(seg.span, k, count, n).transpose(2, 0, 1, 3).reshape(-1, k, n)
+    return gamma, step_xi.sum(axis=0) if xi else None
 
 
 def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = None) -> Posterior:
@@ -548,16 +735,13 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     """
     _check_dt(params, trace.dt)
     n_window = _window_samples(trace.dt, trace.samples.size, t_read)
-    live, pi, a = _live_chain(params.pi, params.a)
-    b, shift = _emission_likelihoods(
-        trace.samples[:n_window, np.newaxis], params.emissions.means, params.emissions.stds, live
-    )
-    gammas, c = _forward(pi, a, b)
-    for t, beta, _ in _backward(a, b, c):
-        gammas[t] *= beta
+    chain = _live_chain(params.pi, params.a)
+    live, _, a = chain
+    fwd = _forward_chunk(params, chain, trace.samples[np.newaxis, :n_window], store=True)
+    gamma = _smooth(a, fwd, xi=False)[0][:n_window, :, 0]
     probs = np.zeros((n_window, N_STATES))
-    probs[:, live] = gammas[:, :, 0] / gammas.sum(axis=1)
-    return Posterior(probs=probs, log_likelihood=float(np.log(c).sum() + shift[0]))
+    probs[:, live] = gamma / gamma.sum(axis=1, keepdims=True)
+    return Posterior(probs=probs, log_likelihood=fwd.ll)
 
 
 def _sample_matrix(samples) -> np.ndarray:
@@ -580,9 +764,9 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
     y = _sample_matrix(samples)
     gamma0 = np.zeros((y.shape[0], N_STATES))
     log_lik = np.empty(y.shape[0])
-    for sl, g0, c, shift in _joint_pass(params, y, [y.shape[1]]):
+    for sl, g0, (ll, c, shift) in _joint_pass(params, y, [y.shape[1]]):
         gamma0[sl] = g0[0]
-        log_lik[sl] = np.log(c).sum(axis=0) + shift
+        log_lik[sl] = (np.log(c).sum(axis=0) if ll is None else ll) + shift
     return gamma0, log_lik
 
 
@@ -599,7 +783,7 @@ def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> 
     if not ends or min(ends) < 1 or max(ends) > y.shape[1]:
         raise ValueError("window ends must be non-empty and within 1..n_samples")
     out = np.zeros((len(ends), y.shape[0], N_STATES))
-    for sl, g0, _, _ in _joint_pass(params, y, ends):
+    for sl, g0, _ in _joint_pass(params, y, ends):
         out[:, sl] = g0
     return out
 
@@ -607,52 +791,57 @@ def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> 
 def _joint_pass(params: HmmParams, y: np.ndarray, ends: list[int]):
     """Time-zero posteriors at each window end, one chunk of traces at a time.
 
-    Fixed-point smoothing (Cappé, Moulines & Rydén 2005): one forward pass
-    over the longest window carries the joint forward variable J_t(s, s0),
-    proportional to P(s_t = s, s_0 = s0, y_0..t), whose sum over s is the
-    time-zero posterior of the window ending at t. Only live states are
-    carried (:func:`_live_states`), and start states with pi = 0 stay
-    exactly zero and are not carried either, so a pass costs about one
-    forward pass over the live states per start state with pi > 0.
+    Fixed-point smoothing (Cappe, Moulines & Ryden 2005): the joint forward
+    variable J_t(s, s0), proportional to P(s_t = s, s_0 = s0, y_0..t), sums
+    over s to the time-zero posterior of the window ending at t. Only live
+    states are carried (:func:`_live_states`), and start states with pi = 0
+    stay exactly zero and are not carried either. With one segment the
+    recursion carries J over the longest window; with L it carries the
+    segment transfers instead, and a window end t in segment l > 0 is read
+    as (1^T P_l(t)) J at the end of segment l-1 (:func:`_transfer_pass`).
 
-    Yields, per chunk, (rows, posteriors (len(ends), n_chunk, 6), c,
-    shift): the per-step scales c (T, n_chunk) of J are the forward
-    scales, so sum_t log c_t + shift is the log-likelihood of the longest
-    window.
+    Yields, per chunk, (rows, posteriors (len(ends), n_chunk, 6), (ll, c,
+    shift)): the per-trace log-likelihood of the longest window is
+    ll + shift, or, with one segment, where ll is None and left to the
+    caller that wants it, sum_t log c_t + shift over the scales c (T, n).
     """
     live, pi, a = _live_chain(params.pi, params.a)
     start = np.flatnonzero(pi > 0.0)
-    k_live, m = live.size, start.size
-    read_at = {}
-    for k, e in enumerate(ends):
-        read_at.setdefault(e - 1, []).append(k)
     t_len = max(ends)
-    a_t = a.T
     for sl in _trace_chunks(y.shape[0], t_len):
-        b, shift = _emission_likelihoods(
-            y[sl, :t_len].T, params.emissions.means, params.emissions.stds, live
-        )
-        n = b.shape[2]
-        out = np.zeros((len(ends), n, N_STATES))
-        c = np.empty((t_len, n))
-        # state-major (k_live, m, n): row s_t, then start state, then trace
-        joint = np.zeros((k_live, m, n))
-        joint[start, np.arange(m)] = pi[start, None] * b[0, start]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for t in range(t_len):
-                if t > 0:
-                    # the per-trace normalisation of step t-1, over both s
-                    # and s0, rides on step t's emission factor: one pass less
-                    joint = (a_t @ joint.reshape(k_live, m * n)).reshape(k_live, m, n)
-                    joint *= (b[t] / c[t - 1])[:, None, :]
-                joint.reshape(k_live * m, n).sum(axis=0, out=c[t])
-                if t in read_at:
-                    g0 = joint.sum(axis=0)
-                    g0 /= g0.sum(axis=0)
-                    for k in read_at[t]:
-                        out[k][:, live[start]] = g0.T
-        _check_scales(c)
-        yield sl, out, c, shift
+        chunk = y[sl, :t_len]
+        for count in dict.fromkeys((_segment_count(live.size, *chunk.shape), 1)):
+            seg = _Segments(params, live, chunk, count)
+            read_at = {}
+            for t in dict.fromkeys(e - 1 for e in ends):
+                l, s = divmod(t, seg.span)
+                read_at.setdefault(s, []).append((t, l))
+            if seg.count > 1:
+                stitched = _transfer_pass(seg, pi, a.T, start, read_at)
+                if stitched is None:
+                    continue
+                u, _, log_lik, reads = stitched
+                c = None
+            else:
+                # the per-trace normalisation of step t-1, over both s and
+                # s0, rides on step t's emission factor (_carry)
+                c = np.empty((t_len, seg.n))
+                x = np.diag(pi)[:, start, None] * seg.b[0][:, None, :]
+                reads = {}
+                for s, x in _carry(a.T, x, seg.b, c):
+                    for t, _ in read_at.get(s, ()):
+                        reads[t] = x.sum(axis=0)
+                _check_scales(c)
+                log_lik = None
+            out = np.zeros((len(ends), seg.n, N_STATES))
+            for i, e in enumerate(ends):
+                l = (e - 1) // seg.span
+                g0 = reads[e - 1]
+                if seg.count > 1:
+                    g0 = g0[start] if l == 0 else np.einsum("in,nim->mn", g0, u[l - 1])
+                out[i][:, live[start]] = (g0 / g0.sum(axis=0)).T
+            yield sl, out, (log_lik, c, seg.shift)
+            break
 
 
 def brute_force_posterior(params: HmmParams, trace: Trace) -> Posterior:
@@ -707,17 +896,8 @@ def log_likelihood(params: HmmParams, batch: TraceBatch) -> float:
     chain = _live_chain(params.pi, params.a)
     total = 0.0
     for sl in _trace_chunks(batch.n_traces, batch.n_samples):
-        total += _forward_chunk(params, chain, batch.samples[sl].T)[1]
+        total += _forward_chunk(params, chain, batch.samples[sl], store=False).ll
     return total
-
-
-def _forward_chunk(params: HmmParams, chain, yt: np.ndarray):
-    """Forward pass of the live ``chain`` = (live, pi, a) over one chunk yt
-    (T, n): ((yt, b, alphas, c), the chunk's log-likelihood)."""
-    live, pi, a = chain
-    b, shift = _emission_likelihoods(yt, params.emissions.means, params.emissions.stds, live)
-    alphas, c = _forward(pi, a, b)
-    return (yt, b, alphas, c), float(np.log(c).sum() + shift.sum())
 
 
 def _check_dt(params: HmmParams, dt: float) -> None:
@@ -779,28 +959,23 @@ def _rates_from_counts(xi: np.ndarray, dt: float, rates: RateSet, freeze_tlf_rat
     )
 
 
-def _smoothed_statistics(a, yt, b, alphas, c, centres):
-    """One chunk's E-step sums, from its forward pass: (pi, xi, moments).
+def _smoothed_statistics(a: np.ndarray, fwd: _Forward, centres: np.ndarray):
+    """One chunk's E-step sums from its stored forward pass: (pi, xi, moments).
 
-    Runs the backward pass, turning alphas into the posteriors gamma in
-    place (and spending b). pi is the time-zero occupancy (k,); xi (k, k)
-    the expected transition counts without the factor a(i, j), applied
-    once by the caller. moments (k, 3) holds, per live state s, the sums
-    over the chunk of gamma, gamma * d and gamma * d^2, where d is the
-    sample's deviation from ``centres[s]``.
+    Runs the backward pass (:func:`_smooth`), spending the pass. pi is the
+    time-zero occupancy (k,); xi (k, k) the expected transition counts
+    without the factor a(i, j), applied once by the caller. moments (k, 3)
+    holds, per live state s, the sums over the chunk of gamma, gamma * d
+    and gamma * d^2, where d is the sample's deviation from ``centres[s]``.
     """
-    k = b.shape[1]
-    step_xi = np.empty((b.shape[0], k, k))
-    for t, beta, w in _backward(a, b, c):
-        if t > 0:
-            np.matmul(alphas[t - 1], w.T, out=step_xi[t])
-        np.multiply(alphas[t], beta, out=alphas[t])
-    gamma = alphas
-    moments = np.empty((k, 3))
+    gamma, xi = _smooth(a, fwd, xi=True)
+    # the samples in time order, as gamma: (L*S, n)
+    y = np.ascontiguousarray(fwd.seg.y.transpose(1, 0, 2).reshape(gamma.shape[0], -1))
+    moments = np.empty((len(centres), 3))
     for s, centre in enumerate(centres):
-        g, d = gamma[:, s], np.subtract(yt, centre, order="C")
+        g, d = gamma[:, s], np.subtract(y, centre, order="C")
         moments[s] = g.sum(), np.einsum("tn,tn->", g, d), np.einsum("tn,tn,tn->", g, d, d)
-    return gamma[0].sum(axis=1), step_xi[1:].sum(axis=0), moments
+    return gamma[0].sum(axis=1), xi, moments
 
 
 @dataclass
@@ -879,15 +1054,15 @@ def em_fit(
         stats = []
         ll_total = 0.0
         for sl in chunks:
-            fwd, ll = _forward_chunk(params, chain, y[sl].T)
-            ll_total += ll
+            fwd = _forward_chunk(params, chain, y[sl], store=True)
+            ll_total += fwd.ll
             if sl != chunks[-1]:
-                stats.append(_smoothed_statistics(a_live, *fwd, centres))
+                stats.append(_smoothed_statistics(a_live, fwd, centres))
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
             converged = True
             break
-        stats.append(_smoothed_statistics(a_live, *fwd, centres))
+        stats.append(_smoothed_statistics(a_live, fwd, centres))
         pi_sum, xi_sum, moments = (sum(parts) for parts in zip(*stats))
 
         # back to all six states; the others have no mass. xi entries lack

@@ -316,13 +316,15 @@ class TestPreprocess:
     # sha256 of each output of the commands that read a bundle, recorded
     # when the bundle still handed copies of its matrix to the kernels;
     # hist.csv re-recorded once its averages came from the sweep's
-    # cumulative sum (same counts, centres within one ulp of the .mean ones).
+    # cumulative sum (same counts, centres within one ulp of the .mean ones);
+    # fit_hmm.json re-recorded once the HMM passes ran in time segments (same
+    # 8 iterations, every number within 3.1e-15 relative of the old one).
     # fit-hmm's per-iteration wall times are dropped before hashing.
     GOLDEN_READ_FILES = {
         "sweep_threshold.csv": "9b2e4fa50ea84542453c70541416f14ad59174d062e842d8baa33b1e71b2c1e3",
         "sweep_hmm.csv": "4260bf325d4857d044818d3339d2b2637b9ab98cf95e8e5574b456e9c9093b50",
         "classify.csv": "7c86dabae746381fa1e54a96ccc0045865d2e3e4324bb24787974476d155f425",
-        "fit_hmm.json": "1201f2c2539a53a03ecf3611ca4ac3fb8e731ea8fd29e2ea8c5cc4ecdccb4d80",
+        "fit_hmm.json": "98f0cfec90a930d682b8d940edf7b7e0b1e1a6622a93ffc4419148900ae05781",
         "hist.csv": "02709b792d135c3f2df9c243c7a84442075ded243f9f579d6738e97b32e84c70",
         "snr.csv": "afc48cea44283732dbb3f4ecd83b201b12941f19e4ac1f2385f1967b77eb6a75",
     }
@@ -776,6 +778,48 @@ def test_missing_input_exits_3_naming_the_path(tmp_path, capsys, labelled_bundle
     assert code == 3
     assert out.out == ""
     assert out.err.splitlines() == [f"missing input: {missing}"]
+
+
+# (command, config given the prefix of a labelled bundle and a directory,
+# the path the error must name); a None config makes the directory the
+# --config file itself
+_DIRECTORY_INPUTS = {
+    "emit_config": lambda b, d: ("emit", None, d),
+    "fit_physics_csv": lambda b, d: (
+        "fit-physics", {"model": "lz", "input_csv": d, "init": [1e-26]}, d),
+    "bundle_manifest": lambda b, d: (
+        "classify", dict(_SWEEP, input=_data_only(b, d[:-len(".manifest.json")]), t_read_s=1e-4), d),
+    "bundle_data": lambda b, d: (
+        "classify", dict(_SWEEP, input=_manifest_only(b, d[:-len(".f64")]), t_read_s=1e-4), d),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIRECTORY_INPUTS))
+def test_directory_as_input_exits_3_naming_the_path(tmp_path, capsys, labelled_bundle, case):
+    suffix = {"bundle_manifest": ".manifest.json", "bundle_data": ".f64"}.get(case, "")
+    directory = str(tmp_path / ("dir" + suffix))
+    os.mkdir(directory)
+    command, payload, named = _DIRECTORY_INPUTS[case](labelled_bundle, directory)
+    config = directory if payload is None else _write_config(tmp_path, "cfg.json", payload)
+    capsys.readouterr()
+    code = main([command, "--config", config, "--seed", "1", "--out", str(tmp_path / "out")])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err.splitlines() == [f"is a directory: {named}"]
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("not a directory\n")
+    config = _write_config(tmp_path, "emit.json", dict(_CAPACITANCE, output="cap"))
+    capsys.readouterr()
+    code = main(["emit", "--config", config, "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: --out must name a directory"]
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -1034,13 +1034,13 @@ class TestEmSmoothing:
 
     def _counting_backward(self, monkeypatch):
         calls = []
-        backward = markov._backward
+        smooth = markov._smooth
 
-        def counted(*args):
-            calls.append(args[1].shape)
-            return backward(*args)
+        def counted(*args, **kwargs):
+            calls.append(args[1].seg.n)
+            return smooth(*args, **kwargs)
 
-        monkeypatch.setattr(markov, "_backward", counted)
+        monkeypatch.setattr(markov, "_smooth", counted)
         return calls
 
     def test_converged_step_runs_no_backward_pass(self, monkeypatch):

@@ -1,0 +1,330 @@
+"""Old-vs-new: the time-segmented HMM passes against the per-step loops
+they replaced.
+
+The reference loops below are the unsegmented recursions as ``markov``
+ran them before the segmented passes: a scaled forward loop that divides
+alpha by its scale every step, a scaled backward loop, the E-step sums
+taken inside it, and the joint pass over the longest window. Every
+segmented result must match them within 1e-12 relative; posteriors that
+pass through the subnormal range keep no relative precision on either
+side, so they are also compared with ``atol=1e-290``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import spinread as sr
+from spinread import markov
+from spinread.markov import N_STATES, ZeroLikelihoodError
+
+RTOL = dict(rtol=1e-12, atol=0.0)
+POSTERIOR_TOL = dict(rtol=1e-12, atol=1e-290)
+
+
+# -- the per-step reference loops --------------------------------------------
+
+
+def _ref_forward(pi, a, b):
+    a_t = a.T
+    alphas = np.empty(b.shape)
+    c = np.empty((b.shape[0], b.shape[2]))
+    alpha = np.multiply(pi[:, None], b[0], out=alphas[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(b.shape[0]):
+            if t > 0:
+                alpha = np.matmul(a_t, alpha, out=alphas[t])
+                alpha *= b[t]
+            alpha.sum(axis=0, out=c[t])
+            alpha /= c[t]
+    markov._check_scales(c)
+    return alphas, c
+
+
+def _ref_backward(a, b, c):
+    b /= c[:, None, :]
+    beta = np.ones(b.shape[1:])
+    for t in range(b.shape[0] - 1, -1, -1):
+        w = np.multiply(beta, b[t], out=b[t])
+        yield t, beta, w
+        beta = a @ w
+
+
+def _ref_smoothed_statistics(a, yt, b, alphas, c, centres):
+    k = b.shape[1]
+    step_xi = np.empty((b.shape[0], k, k))
+    for t, beta, w in _ref_backward(a, b, c):
+        if t > 0:
+            np.matmul(alphas[t - 1], w.T, out=step_xi[t])
+        np.multiply(alphas[t], beta, out=alphas[t])
+    gamma = alphas
+    moments = np.empty((k, 3))
+    for s, centre in enumerate(centres):
+        g, d = gamma[:, s], np.subtract(yt, centre, order="C")
+        moments[s] = g.sum(), np.einsum("tn,tn->", g, d), np.einsum("tn,tn,tn->", g, d, d)
+    return gamma[0].sum(axis=1), step_xi[1:].sum(axis=0), moments, gamma
+
+
+def _ref_chunk(params, y):
+    """Reference forward pass over rows y (n, T): (chain, yt, b, alphas, c, ll per trace)."""
+    chain = markov._live_chain(params.pi, params.a)
+    live, pi, a = chain
+    yt = y.T
+    b, shift = markov._emission_likelihoods(yt, params.emissions.means, params.emissions.stds, live)
+    alphas, c = _ref_forward(pi, a, b)
+    return chain, yt, b, alphas, c, np.log(c).sum(axis=0) + shift
+
+
+def _ref_joint_pass(params, y, ends):
+    """Reference time-zero posteriors (len(ends), n, 6) and per-trace
+    log-likelihoods of the longest window, one joint pass over y (n, T)."""
+    live, pi, a = markov._live_chain(params.pi, params.a)
+    start = np.flatnonzero(pi > 0.0)
+    k_live, m = live.size, start.size
+    t_len = max(ends)
+    b, shift = markov._emission_likelihoods(
+        y[:, :t_len].T, params.emissions.means, params.emissions.stds, live
+    )
+    n = b.shape[2]
+    out = np.zeros((len(ends), n, N_STATES))
+    c = np.empty((t_len, n))
+    joint = np.zeros((k_live, m, n))
+    joint[start, np.arange(m)] = pi[start, None] * b[0, start]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(t_len):
+            if t > 0:
+                joint = (a.T @ joint.reshape(k_live, m * n)).reshape(k_live, m, n)
+                joint *= (b[t] / c[t - 1])[:, None, :]
+            joint.reshape(k_live * m, n).sum(axis=0, out=c[t])
+            for i, e in enumerate(ends):
+                if e - 1 == t:
+                    g0 = joint.sum(axis=0)
+                    out[i][:, live[start]] = (g0 / g0.sum(axis=0)).T
+    markov._check_scales(c)
+    return out, np.log(c).sum(axis=0) + shift
+
+
+# -- cases --------------------------------------------------------------------
+
+
+def _reference_params(dt=40e-6):
+    return sr.HmmParams.from_spin_model(
+        [0.25, 0.25, 0.5], sr.RateSet(1 / 170e-6, 1 / 290e-3), dt=dt, std=math.sqrt(3.3e-6 / dt)
+    )
+
+
+def _switching_params(tied):
+    rng = np.random.default_rng(31)
+    dt = 1e-5
+    rates = sr.RateSet(2e3, 4e2, 3e3, 5e3)
+    if tied:
+        emissions = sr.EmissionModel.from_charge_levels(0.0, 1.0, 0.45)
+    else:
+        emissions = sr.EmissionModel(means=rng.uniform(-0.2, 1.2, 6), stds=rng.uniform(0.3, 0.6, 6))
+    return sr.HmmParams(pi=rng.dirichlet(np.ones(6)), rates=rates, dt=dt, emissions=emissions)
+
+
+# (name, params, n_traces, n_samples): the reference point splits 150 x 4200
+# into 42 segments of 100 steps; 1 x 997 (a prime) and 7 x 263 pad their last
+# segment; switching makes all six states live
+CASES = {
+    "reference_150x4200": (_reference_params(), 150, 4200),
+    "reference_n1_prime": (_reference_params(), 1, 997),
+    "switching_tied_padded": (_switching_params(True), 7, 263),
+    "switching_untied_padded": (_switching_params(False), 7, 263),
+    "switching_tied_40x600": (_switching_params(True), 40, 600),
+}
+
+
+def _case(name):
+    params, n, t_len = CASES[name]
+    return params, sr.simulate_batch(params, n, t_len, seed=sum(map(ord, name))).samples
+
+
+def _segments_of(params, y):
+    live = markov._live_chain(params.pi, params.a)[0]
+    count = markov._segment_count(live.size, *y.shape)
+    return markov._Segments(params, live, y, count)
+
+
+@pytest.fixture(params=["segmented", "one_segment"])
+def segmenting(request, monkeypatch):
+    """Run each test with the chunk's own segment count, and with L = 1."""
+    if request.param == "one_segment":
+        monkeypatch.setattr(markov, "_SEGMENT_ELEMENTS", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cases_are_segmented(name):
+    params, y = _case(name)
+    seg = _segments_of(params, y)
+    assert seg.count > 1
+    padded = seg.count * seg.span != y.shape[1]
+    assert padded == name.endswith(("padded", "prime"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_log_likelihood(name, segmenting):
+    params, y = _case(name)
+    expected = _ref_chunk(params, y)[-1].sum()
+    got = sr.log_likelihood(params, sr.TraceBatch(dt=params.dt, samples=y))
+    np.testing.assert_allclose(got, expected, **RTOL)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_smoothed_statistics(name, segmenting):
+    params, y = _case(name)
+    chain, yt, b, alphas, c, ll = _ref_chunk(params, y)
+    live, _, a = chain
+    centres = params.emissions.means[live] + 0.01
+    expected = _ref_smoothed_statistics(a, yt, b, alphas, c, centres)[:3]
+    fwd = markov._forward_chunk(params, chain, y, store=True)
+    np.testing.assert_allclose(fwd.ll, ll.sum(), **RTOL)
+    got = markov._smoothed_statistics(a, fwd, centres)
+    for g, e in zip(got, expected):
+        np.testing.assert_allclose(g, e, **RTOL)
+
+
+@pytest.mark.parametrize("name", ["reference_n1_prime", "switching_untied_padded"])
+def test_forward_backward(name, segmenting):
+    params, y = _case(name)
+    for row in y[:3]:
+        chain, yt, b, alphas, c, ll = _ref_chunk(params, row[None, :])
+        live, _, a = chain
+        gamma = _ref_smoothed_statistics(a, yt, b, alphas, c, np.zeros(live.size))[3]
+        post = sr.forward_backward(params, sr.Trace(dt=params.dt, samples=row))
+        expected = np.zeros((row.size, N_STATES))
+        expected[:, live] = gamma[:, :, 0] / gamma.sum(axis=1)
+        np.testing.assert_allclose(post.probs, expected, **POSTERIOR_TOL)
+        np.testing.assert_allclose(post.log_likelihood, ll[0], **RTOL)
+
+
+def _window_ends(seg, t_len):
+    """Ends in the first, a middle and the last segment, and on both sides
+    of segment boundaries."""
+    span = seg.span
+    ends = {1, 2, span // 2, span, span + 1, 2 * span, (seg.count // 2) * span + 3,
+            (seg.count - 1) * span, (seg.count - 1) * span + 1, t_len - 1, t_len}
+    return sorted(e for e in ends if 1 <= e <= t_len)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_start_posteriors_at_segment_ends(name, segmenting):
+    params, y = _case(name)
+    ends = _window_ends(_segments_of(params, y), y.shape[1])
+    expected, _ = _ref_joint_pass(params, y, ends)
+    np.testing.assert_allclose(markov.start_posteriors_at(params, y, ends), expected, **POSTERIOR_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_start_posterior_batch(name, segmenting):
+    params, y = _case(name)
+    expected, ll = _ref_joint_pass(params, y, [y.shape[1]])
+    gamma0, log_lik = markov.start_posterior_batch(params, y)
+    np.testing.assert_allclose(gamma0, expected[0], **POSTERIOR_TOL)
+    np.testing.assert_allclose(log_lik, ll, **RTOL)
+
+
+def test_several_chunks(monkeypatch):
+    params, y = _case("switching_tied_40x600")
+    # 15 traces per chunk: chunks of 15, 15 and 10 traces, each segmented
+    monkeypatch.setattr(markov, "_CHUNK_ELEMENTS", 15 * N_STATES * 600)
+    assert len(list(markov._trace_chunks(*y.shape))) == 3
+    ends = _window_ends(_segments_of(params, y[:15]), y.shape[1])
+    expected, ll = _ref_joint_pass(params, y, ends)
+    np.testing.assert_allclose(markov.start_posteriors_at(params, y, ends), expected, **POSTERIOR_TOL)
+    np.testing.assert_allclose(markov.start_posterior_batch(params, y)[1], ll, **RTOL)
+    batch = sr.TraceBatch(dt=params.dt, samples=y)
+    np.testing.assert_allclose(sr.log_likelihood(params, batch), ll.sum(), **RTOL)
+
+
+# -- the step of a vanishing likelihood ----------------------------------------
+
+
+def _vanishing_params(far_mean=1.0):
+    """S and T0 live (T0 decays to S); S sits at 0, T0 at 1, std 1. A sample
+    at -1000 leaves T0 exactly no mass (its likelihood underflows), and a
+    sample at +1000 is one only T0 can emit. (S,E), never live, sits at
+    ``far_mean``."""
+    return sr.HmmParams(
+        pi=np.array([0.5, 0.5, 0, 0, 0, 0]), rates=sr.RateSet(0.1, 0.0), dt=1.0,
+        emissions=sr.EmissionModel(means=np.array([0.0, 1, 1, far_mean, 0, 0]), stds=np.ones(6)),
+    )
+
+
+def _ref_step(params, y):
+    with pytest.raises(ZeroLikelihoodError) as err:
+        _ref_chunk(params, y)
+    return err.value.step
+
+
+_ENTRY_POINTS = {
+    "log_likelihood": lambda p, y: sr.log_likelihood(p, sr.TraceBatch(dt=1.0, samples=y)),
+    "em_fit": lambda p, y: sr.em_fit(sr.TraceBatch(dt=1.0, samples=y), p, max_iter=2),
+    "start_posterior_batch": lambda p, y: markov.start_posterior_batch(p, y),
+    "start_posteriors_at": lambda p, y: markov.start_posteriors_at(p, y, [5, y.shape[1]]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("vanish_at", [3, 9, 10, 47, 89, 90, 99])
+def test_vanishing_step_in_each_segment(entry, vanish_at):
+    # 100 steps over the two live states: 10 segments of 10 steps. T0
+    # loses its mass at step 0, so the forward mass is wholly on S when
+    # only T0 emits; past segment 0 the transfer of that segment, started
+    # from the identity, keeps T0's column alive, so the stitch catches it
+    params = _vanishing_params()
+    y = np.full((2, 100), 0.5)
+    y[:, 0] = -1000.0
+    y[0, vanish_at] = 1000.0
+    y[1, min(vanish_at + 23, 99)] = 1000.0
+    seg = _segments_of(params, y)
+    assert (seg.count, seg.span) == (10, 10)
+    live, pi, a = markov._live_chain(params.pi, params.a)
+    transfer = markov._Segments(params, live, y[:1], 10)
+    start = np.flatnonzero(pi > 0)
+    assert markov._transfer_pass(transfer, pi, a.T, start, {}) is None
+    if vanish_at >= 10:
+        # started with mass on T0 too, that segment alone has a likelihood
+        l = vanish_at // 10
+        alone = sr.TraceBatch(dt=1.0, samples=y[:1, 10 * l:10 * l + 10])
+        assert math.isfinite(sr.log_likelihood(params, alone))
+    with pytest.raises(ZeroLikelihoodError) as err:
+        _ENTRY_POINTS[entry](params, y)
+    assert err.value.step == _ref_step(params, y) == vanish_at
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_every_state_vanishing_in_a_middle_segment(entry):
+    # a sample only the non-live (S,E) can emit: every live state's
+    # likelihood vanishes, and so do the transfers
+    params = _vanishing_params(far_mean=1e6)
+    y = np.full((3, 100), 0.5)
+    y[1, 55] = 1e6
+    with pytest.raises(ZeroLikelihoodError) as err:
+        _ENTRY_POINTS[entry](params, y)
+    assert err.value.step == _ref_step(params, y) == 55
+
+
+def test_underflowing_stitch_runs_unsegmented(monkeypatch):
+    # a floor above every stitch norm sends each chunk to one segment,
+    # which gives the unsegmented results
+    params, y = _case("switching_tied_padded")
+    ends = [1, 50, 263]
+    segmented = markov.start_posteriors_at(params, y, ends)
+    monkeypatch.setattr(markov, "_STITCH_FLOOR", 2.0)
+    calls = []
+    segments = markov._Segments
+
+    def counted(*args):
+        seg = segments(*args)
+        calls.append(seg.count)
+        return seg
+
+    monkeypatch.setattr(markov, "_Segments", counted)
+    expected, _ = _ref_joint_pass(params, y, ends)
+    np.testing.assert_allclose(markov.start_posteriors_at(params, y, ends), expected, **POSTERIOR_TOL)
+    np.testing.assert_allclose(segmented, expected, **POSTERIOR_TOL)
+    assert calls == [16, 1]
