@@ -431,7 +431,11 @@ def _hidden_paths(u: np.ndarray, cum_pi: np.ndarray, cum_a: np.ndarray) -> np.nd
     return paths
 
 
-# Largest (T, 6, n_chunk) float array built per trace chunk (80 MB).
+# Sample-steps times six per trace chunk. A stored pass holds the chunk's
+# emission factors (T, P, n_chunk) over P <= 6 distinct Gaussians and its
+# forward variables (T, k, n_chunk) over k <= 6 live states, each at most
+# this many floats (80 MB); a forward-only pass holds its scales (T,
+# n_chunk) and one block of factors (_BLOCK_ELEMENTS).
 _CHUNK_ELEMENTS = 10_000_000
 
 
@@ -457,17 +461,22 @@ def _live_chain(pi: np.ndarray, a: np.ndarray):
     return live, pi[live], a[np.ix_(live, live)]
 
 
-def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, rows: np.ndarray):
-    """State-major emission likelihoods of the hidden states ``rows``,
-    rescaled so that the best of all six states has 1.
+def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, rows: np.ndarray,
+                          out=None):
+    """Emission likelihoods, one row per distinct (mean, std) pair of the
+    six hidden states, rescaled so that the best pair has 1 at each step.
 
     yt is (T, ...), time first and the traces on the trailing axes, e.g.
-    (T, n) or a chunk's folded (S, L, n) (:class:`_Segments`). Each
-    distinct (mean, std) pair is evaluated once. Returns b of shape
-    (T, len(rows), ...), C-contiguous so that each step's slice is one
-    block of memory whatever the layout of yt (often a transposed view),
-    and the per-trace sum over steps of the log-scale shift that was
-    subtracted, yt.shape[1:], to be added back to log-likelihoods.
+    a block of steps of (T, n) or of a chunk's folded (S, L, n)
+    (:class:`_Segments`). Returns b of shape (T, P, ...) over the P
+    distinct pairs, C-contiguous so that each step's slice is one block of
+    memory whatever the layout of yt (often a transposed view); the
+    per-step log-scale shift that was subtracted, yt.shape, to be added
+    back to log-likelihoods; and ``pick``, the pair of each state in
+    ``rows``: state rows[i] has the factors b[:, pick[i]]. The scaled
+    recursions need the factors only up to a per-step constant (Rabiner
+    1989), so the recursions pick each live state's row per step and no
+    state-major array is built. b is written to ``out`` if given.
     """
     pair_index = {}
     pair_of = np.array([
@@ -476,7 +485,7 @@ def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, r
     ])
     mu, sd = np.array(list(pair_index)).T
     per_pair = (-1,) + (1,) * (yt.ndim - 1)
-    b = np.subtract(yt[:, None], mu.reshape(per_pair), order="C")
+    b = np.subtract(yt[:, None], mu.reshape(per_pair), out=out, order="C")
     b /= sd.reshape(per_pair)
     b *= b
     b *= -0.5
@@ -484,12 +493,7 @@ def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, r
     shift = b.max(axis=1)
     b -= shift[:, None]
     np.exp(b, out=b)
-    pick = pair_of[rows]
-    if not np.array_equal(pick, np.arange(mu.size)):
-        # take keeps b C-contiguous; b[:, pick] would put the state axis
-        # outermost in memory
-        b = np.take(b, pick, axis=1)
-    return b, shift.sum(axis=0)
+    return b, shift, pair_of[rows]
 
 
 def _check_scales(c: np.ndarray) -> None:
@@ -510,6 +514,10 @@ _SEGMENT_ELEMENTS = 57_000
 # A stitch whose per-trace norm is not above this is not trusted, and the
 # chunk runs again unsegmented (_transfer_pass).
 _STITCH_FLOOR = 1e-250
+# Emission factors built at a time, P * L * n per step: 16 steps of two
+# Gaussians at 4000 traces (1 MB), so that a block is still in cache when
+# the builder's next operation, or a forward-only pass, reads it.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 def _segment_count(k: int, n: int, t_len: int) -> int:
@@ -524,56 +532,115 @@ class _Segments:
     """A trace chunk y (n, T) with its T steps folded into L segments of S.
 
     Segment l holds steps l*S .. l*S + S - 1 and runs as n more traces:
-    column l*n + j of every (..., L*n) array is trace j in segment l. ``b``
-    (S, k, L*n) holds the emission factors of the live rows, ``shift`` (n,)
-    their per-trace log-scale shift and ``y`` (S, L, n) the folded samples.
-    The last segment has ``last`` real steps; the steps that pad it to S
-    have emission factor 1, so they only propagate by the one-step matrix,
-    which keeps the forward sum. With L = 1 this is the chunk as it is.
+    column l*n + j of every (..., L*n) array is trace j in segment l.
+    ``yt`` (L*S, n) is the chunk in time order and ``y`` (S, L, n) its
+    folded view. The emission factors (:meth:`factors`) have one row per
+    distinct (mean, std) pair, and live state i reads row ``pick[i]``;
+    ``runs`` groups consecutive live states with one pair. They are built
+    from time-major blocks of steps: a forward-only pass builds each block
+    as it consumes it, and with ``stored`` the blocks fill ``b`` (S, P,
+    L*n), kept for the passes that read it again. ``shift`` (n,),
+    their per-trace log-scale shift, is set once every step has been
+    built. The last segment has ``last`` real steps; the steps that pad it
+    to S have emission factor 1, so they only propagate by the one-step
+    matrix, which keeps the forward sum. With L = 1 this is the chunk as it
+    is.
     """
 
-    def __init__(self, params: HmmParams, live: np.ndarray, y: np.ndarray, count: int):
+    def __init__(self, params: HmmParams, live: np.ndarray, y: np.ndarray, count: int,
+                 stored: bool = False):
         n, t_len = y.shape
         span = -(-t_len // count)
         count = -(-t_len // span)
         pad = count * span - t_len
+        yt = y.T
         if pad:
-            y = np.concatenate((y, np.zeros((n, pad))), axis=1)
-        self.y = y.reshape(n, count, span).transpose(2, 1, 0)
-        means, stds = params.emissions.means, params.emissions.stds
-        # one segment goes in as (T, n): the emission builder is slower over
-        # a singleton axis
-        b, shift = _emission_likelihoods(self.y if count > 1 else self.y[:, 0], means, stds, live)
-        shift = shift.reshape(count, n)
-        if pad:
-            b[span - pad:, :, -1] = 1.0
-            shift[-1] -= pad * _emission_likelihoods(np.zeros((1, 1)), means, stds, live)[1][0]
+            yt = np.concatenate((yt, np.zeros((pad, n))))
+        self.yt = yt
+        self.y = yt.reshape(count, span, n).transpose(1, 0, 2)
         self.n, self.span, self.count, self.last = n, span, count, span - pad
-        self.b = b.reshape(span, live.size, count * n)
-        self.shift = shift.sum(axis=0)
+        self._emissions = params.emissions.means, params.emissions.stds, live
+        # the pairs, the pair of each live state and the shift of a padded
+        # sample, 0
+        zero, zero_shift, self.pick = _emission_likelihoods(np.zeros((1, 1)), *self._emissions)
+        # live states i in lo..hi-1 share pair q: the recursions weight each
+        # such run by its pair's row, and no array takes a row per state
+        edges = np.flatnonzero(np.diff(self.pick)) + 1
+        self.runs = [
+            (lo, hi, self.pick[lo])
+            for lo, hi in zip(np.r_[0, edges].tolist(), np.r_[edges, live.size].tolist())
+        ]
+        self._block = max(1, _BLOCK_ELEMENTS // (zero.shape[1] * count * n))
+        self._pad_shift = pad * zero_shift[0, 0]
+        self.shift = None
+        self.b = None
+        if stored:
+            b = np.empty((span, zero.shape[1], count * n))
+            for _ in self._blocks(b):
+                pass
+            self.b = b
+
+    def factors(self):
+        """Yields (s0, b): the factors (B, P, L*n) of steps s0 .. s0 + B - 1."""
+        if self.b is not None:
+            return iter(((0, self.b),))
+        return self._blocks()
+
+    def _blocks(self, out=None):
+        count, n, size = self.count, self.n, self._block
+        total = None
+        for s0 in range(0, self.span, size):
+            # one segment goes in as (B, n): the builder is slower over a
+            # singleton axis
+            y = self.y[s0:s0 + size] if count > 1 else self.y[s0:s0 + size, 0]
+            steps = y.shape[0]
+            into = None if out is None else out[s0:s0 + steps].reshape((steps, -1) + y.shape[1:])
+            b, shift, _ = _emission_likelihoods(y, *self._emissions, out=into)
+            b = b.reshape(steps, -1, count * n)
+            if s0 + steps > self.last:
+                b[max(self.last - s0, 0):, :, -n:] = 1.0
+            # summed step by step, each block onto the total so far, as one
+            # sum over every step would be
+            shift = shift.reshape(steps, count * n)
+            if total is not None:
+                shift = np.concatenate((total[None], shift))
+            total = shift.sum(axis=0)
+            yield s0, b
+        total = total.reshape(count, n)
+        total[-1] -= self._pad_shift
+        self.shift = total.sum(axis=0)
 
 
-def _carry(a_t: np.ndarray, x: np.ndarray, b: np.ndarray, c: np.ndarray, out=None):
-    """The carried-state recursion of every pass, over b (S, k, cols).
+def _carry(a_t: np.ndarray, x: np.ndarray, seg: _Segments, c: np.ndarray, out=None):
+    """The carried-state recursion of every pass, over the factors of ``seg``.
 
-    x (k, w, cols) is step 0's state, already weighted by b_0: w state
-    vectors per column. Each later step propagates x by the one-step matrix
-    and weights it by b_s / c_{s-1}, so the per-column normalisation of
-    step s-1 rides on step s's emission factor; c_s, the sum of x_s over
-    its k * w entries, is written to c (S, cols). Four numpy calls per step.
+    x (k, w, 1 or cols) is step 0's state before its emission factor: w
+    state vectors per column. Step 0 weights it by b_0, and each later step
+    propagates x by the one-step matrix and weights it by b_s / c_{s-1}, so
+    the per-column normalisation of step s-1 rides on step s's emission
+    factor, of its pair's row for each run of live states that share one
+    (``seg.runs``). c_s, the sum of x_s over its k * w entries, is written
+    to c (S, cols). Four numpy calls per step and one more per further run.
     Yields (s, x_s); with ``out`` (S, k, w, cols) x_s is also kept there.
     """
-    k, w, cols = x.shape
-    if out is not None:
-        out[0] = x
     with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(b.shape[0]):
-            if s > 0:
-                into = None if out is None else out[s].reshape(k, w * cols)
-                x = np.matmul(a_t, x.reshape(k, w * cols), out=into).reshape(k, w, cols)
-                x *= (b[s] / c[s - 1])[:, None, :]
-            x.reshape(k * w, cols).sum(axis=0, out=c[s])
-            yield s, x
+        for s0, b in seg.factors():
+            for i in range(b.shape[0]):
+                s = s0 + i
+                if s == 0:
+                    x = x * np.take(b[0], seg.pick, axis=0)[:, None, :]
+                    k, w, cols = x.shape
+                    if out is not None:
+                        out[0] = x
+                    ratio = np.empty(b.shape[1:])
+                else:
+                    into = None if out is None else out[s].reshape(k, w * cols)
+                    x = np.matmul(a_t, x.reshape(k, w * cols), out=into).reshape(k, w, cols)
+                    np.divide(b[i], c[s - 1], out=ratio)
+                    for lo, hi, q in seg.runs:
+                        x[lo:hi] *= ratio[q]
+                x.reshape(k * w, cols).sum(axis=0, out=c[s])
+                yield s, x
 
 
 def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.ndarray, read_at):
@@ -599,13 +666,12 @@ def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.nd
     carry only underflowing mass; the caller then runs unsegmented.
     """
     k, n, count = pi.size, seg.n, seg.count
-    first = np.empty((k, k, count, 1))
-    first[:, :, 0, 0] = np.diag(pi)
-    first[:, :, 1:, 0] = a_t[:, :, None]
-    x = (first * seg.b[0].reshape(k, 1, count, n)).reshape(k, k, count * n)
+    first = np.empty((k, k, count))
+    first[:, :, 0] = np.diag(pi)
+    first[:, :, 1:] = a_t[:, :, None]
     c = np.empty((seg.span, count * n))
     reads = {}
-    for s, x in _carry(a_t, x, seg.b, c):
+    for s, x in _carry(a_t, np.repeat(first, n, axis=2), seg, c):
         for t, l in read_at.get(s, ()):
             reads[t] = x[:, :, l * n:(l + 1) * n].sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -620,7 +686,8 @@ def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.nd
             u[l] /= norm[l][:, None, None]
     if not np.all(norm > _STITCH_FLOOR):
         return None
-    log_lik = np.log(c).reshape(seg.span, count, n).sum(axis=(0, 1)) + np.log(norm).sum(axis=0)
+    # c is spent: its logs go in place
+    log_lik = np.log(c, out=c).reshape(seg.span, count, n).sum(axis=(0, 1)) + np.log(norm).sum(axis=0)
     return u, p, log_lik, reads
 
 
@@ -628,55 +695,68 @@ class _Forward(NamedTuple):
     """A trace chunk's forward pass (:func:`_forward_chunk`)."""
 
     seg: _Segments
-    alphas: np.ndarray | None  # (S + 1, k, L*n), kept with ``store``
+    alphas: np.ndarray | None  # (S + 1, k, L*n), kept by _stored_forward
     c: np.ndarray | None  # (S, L*n): alphas[s + 1] sums to c[s]
     p: np.ndarray | None  # (L, n, k, k) segment transfers, for L > 1
+    u: np.ndarray | None  # (L, n, k, m) the stitch, until _stored_forward
     ll: float  # the chunk's log-likelihood
 
 
-def _forward_chunk(params: HmmParams, chain, y: np.ndarray, store: bool) -> _Forward:
+def _forward_chunk(params: HmmParams, chain, y: np.ndarray, store: bool, counts=None) -> _Forward:
     """Forward pass of the live ``chain`` = (live, pi, a) over one trace chunk y (n, T).
 
-    The transfers and their stitch give the log-likelihood. With ``store``
-    every segment is then run at once from the stitched forward variable
-    at its start, keeping alphas: slot s + 1 the forward variable of step s
-    scaled to sum to c_s (:func:`_carry`), slot 0 the normalised one each
-    segment starts from (zeros for segment 0). A stitch that fails or a
-    scale that is not > 0 sends the chunk to L = 1, where
-    :func:`_check_scales` reports the first step at which a likelihood
-    vanished.
+    The transfers and their stitch give the log-likelihood; with one
+    segment the forward recursion itself does. ``store`` keeps the
+    emission factors for :func:`_stored_forward` and :func:`_smooth`, and
+    with one segment the forward variables too. A stitch that fails sends
+    the chunk to L = 1, where :func:`_check_scales` reports the first step
+    at which a likelihood vanished. ``counts`` overrides the segment
+    counts tried, in order.
     """
     live, pi, a = chain
     k, start = live.size, np.flatnonzero(pi > 0.0)
     # segmented first; unsegmented if the stitch cannot be trusted
-    for count in dict.fromkeys((_segment_count(k, *y.shape), 1)):
-        seg = _Segments(params, live, y, count)
-        n, count = seg.n, seg.count
-        ll = float(seg.shift.sum())
-        p = None
-        prop = np.empty((k, count * n))
-        prop[:, :n] = pi[:, None]
-        alphas = np.zeros((seg.span + 1, k, count * n)) if store else None
-        if count > 1:
+    for count in counts or dict.fromkeys((_segment_count(k, *y.shape), 1)):
+        seg = _Segments(params, live, y, count, stored=store)
+        if seg.count > 1:
             stitched = _transfer_pass(seg, pi, a.T, start, {})
             if stitched is None:
                 continue
             u, p, log_lik, _ = stitched
-            ll += float(log_lik.sum())
-            if not store:
-                return _Forward(seg, None, None, p, ll)
-            alphas[0, :, n:] = u[:-1].sum(axis=3).transpose(2, 0, 1).reshape(k, (count - 1) * n)
-            prop[:, n:] = a.T @ alphas[0, :, n:]
-        c = np.empty((seg.span, count * n))
-        out = alphas[1:, :, None] if store else None
-        for _ in _carry(a.T, (prop * seg.b[0])[:, None], seg.b, c, out):
+            return _Forward(seg, None, None, p, u, float(seg.shift.sum()) + float(log_lik.sum()))
+        c = np.empty((seg.span, seg.n))
+        alphas = np.zeros((seg.span + 1, k, seg.n)) if store else None
+        for _ in _carry(a.T, pi[:, None, None], seg, c, None if alphas is None else alphas[1:, :, None]):
             pass
-        if count == 1:
-            _check_scales(c)
-            ll += float(np.log(c).sum())
-        elif not np.all(c > 0.0):
-            continue
-        return _Forward(seg, alphas, c, p, ll)
+        _check_scales(c)
+        return _Forward(seg, alphas, c, None, None, float(seg.shift.sum()) + float(np.log(c).sum()))
+
+
+def _stored_forward(params: HmmParams, chain, y: np.ndarray, fwd: _Forward) -> _Forward:
+    """``fwd``, a stored forward pass over y, with its forward variables.
+
+    A segmented chunk runs every segment at once from the stitched forward
+    variable at its start, keeping alphas: slot s + 1 the forward variable
+    of step s scaled to sum to c_s (:func:`_carry`), slot 0 the normalised
+    one each segment starts from (zeros for segment 0). A scale that is
+    not > 0 runs the chunk again with L = 1.
+    """
+    if fwd.alphas is not None:
+        return fwd
+    live, pi, a = chain
+    seg, u = fwd.seg, fwd.u
+    k, n, count = live.size, seg.n, seg.count
+    alphas = np.zeros((seg.span + 1, k, count * n))
+    alphas[0, :, n:] = u[:-1].sum(axis=3).transpose(2, 0, 1).reshape(k, (count - 1) * n)
+    prop = np.empty((k, count * n))
+    prop[:, :n] = pi[:, None]
+    prop[:, n:] = a.T @ alphas[0, :, n:]
+    c = np.empty((seg.span, count * n))
+    for _ in _carry(a.T, prop[:, None], seg, c, alphas[1:, :, None]):
+        pass
+    if not np.all(c > 0.0):
+        return _forward_chunk(params, chain, y, store=True, counts=(1,))
+    return fwd._replace(alphas=alphas, c=c, u=None)
 
 
 def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
@@ -690,15 +770,17 @@ def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
     every step. Then all segments run the scaled backward recursion
     (Rabiner 1989) at once, on the forward variables as the recursion left
     them, x_s = c_s alpha_s, and carrying beta_s / c_s, so that neither
-    needs a pass of its own: w_s = (beta_s / c_s) b_s / c_{s-1} is written
-    over b_s (b is spent), gamma_s = x_s beta_s / c_s over x_s,
+    needs a pass of its own: w_s = (beta_s / c_s) b_s / c_{s-1}, with each
+    live state's pair row of b, goes to a (k, cols) scratch, gamma_s =
+    x_s beta_s / c_s over x_s,
     beta_{s-1} / c_{s-1} = a w_s, and the counts from step s-1 are
     x_{s-1}(i) a(i, j) w_s(j), with slot 0 of alphas giving alpha at the
     end of the previous segment (c_{-1} = 1). The last segment starts at its
     last real step with beta = 1; its padded steps have beta = 0. Four
-    numpy calls per step, five with ``xi``.
+    numpy calls per step and one more per further run of ``seg.runs``, and
+    one with ``xi``.
     """
-    seg, alphas, c, p, _ = fwd
+    seg, alphas, c, p = fwd.seg, fwd.alphas, fwd.c, fwd.p
     k, n, count = alphas.shape[1], seg.n, seg.count
     cut = (count - 1) * n
     beta = np.zeros((k, count * n))
@@ -713,11 +795,14 @@ def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
     # beta / c, so that gamma_s = x_s * beta_s / c_s needs no pass over x
     beta[:, :cut] /= c[-1, :cut]
     b = seg.b
+    w = np.empty((k, count * n))
     step_xi = np.empty((seg.span, k, k)) if xi else None
     for s in range(seg.span - 1, -1, -1):
         if s == seg.last - 1:
             beta[:, cut:] = 1.0 / c[s, cut:]
-        w = np.multiply(beta, b[s] / c[s - 1] if s else b[0], out=b[s])
+        ratio = b[s] / c[s - 1] if s else b[0]
+        for lo, hi, q in seg.runs:
+            np.multiply(ratio[q], beta[lo:hi], out=w[lo:hi])
         if xi:
             np.matmul(alphas[s], w.T, out=step_xi[s])
         alphas[s + 1] *= beta
@@ -737,7 +822,8 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     n_window = _window_samples(trace.dt, trace.samples.size, t_read)
     chain = _live_chain(params.pi, params.a)
     live, _, a = chain
-    fwd = _forward_chunk(params, chain, trace.samples[np.newaxis, :n_window], store=True)
+    y = trace.samples[np.newaxis, :n_window]
+    fwd = _stored_forward(params, chain, y, _forward_chunk(params, chain, y, store=True))
     gamma = _smooth(a, fwd, xi=False)[0][:n_window, :, 0]
     probs = np.zeros((n_window, N_STATES))
     probs[:, live] = gamma / gamma.sum(axis=1, keepdims=True)
@@ -766,7 +852,7 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
     log_lik = np.empty(y.shape[0])
     for sl, g0, (ll, c, shift) in _joint_pass(params, y, [y.shape[1]]):
         gamma0[sl] = g0[0]
-        log_lik[sl] = (np.log(c).sum(axis=0) if ll is None else ll) + shift
+        log_lik[sl] = (np.log(c, out=c).sum(axis=0) if ll is None else ll) + shift
     return gamma0, log_lik
 
 
@@ -826,9 +912,8 @@ def _joint_pass(params: HmmParams, y: np.ndarray, ends: list[int]):
                 # the per-trace normalisation of step t-1, over both s and
                 # s0, rides on step t's emission factor (_carry)
                 c = np.empty((t_len, seg.n))
-                x = np.diag(pi)[:, start, None] * seg.b[0][:, None, :]
                 reads = {}
-                for s, x in _carry(a.T, x, seg.b, c):
+                for s, x in _carry(a.T, np.diag(pi)[:, start, None], seg, c):
                     for t, _ in read_at.get(s, ()):
                         reads[t] = x.sum(axis=0)
                 _check_scales(c)
@@ -970,7 +1055,7 @@ def _smoothed_statistics(a: np.ndarray, fwd: _Forward, centres: np.ndarray):
     """
     gamma, xi = _smooth(a, fwd, xi=True)
     # the samples in time order, as gamma: (L*S, n)
-    y = np.ascontiguousarray(fwd.seg.y.transpose(1, 0, 2).reshape(gamma.shape[0], -1))
+    y = fwd.seg.yt
     moments = np.empty((len(centres), 3))
     for s, centre in enumerate(centres):
         g, d = gamma[:, s], np.subtract(y, centre, order="C")
@@ -1015,9 +1100,13 @@ def em_fit(
     digits. ``freeze_tlf_rates`` keeps the fluctuator rates of ``init`` at
     every iteration. ``init.dt`` must be the batch's dt.
 
-    The last trace chunk is smoothed only after the convergence test, so a
-    converged E-step on one chunk runs the forward pass alone. A converged
-    fit returns the parameters its last E-step scored, so
+    Each trace chunk is copied into time order once per fit, for the
+    emission factors and the moments. The last chunk runs only its
+    transfers and stitch, or its one-segment forward pass, before the
+    convergence test; its in-segment forward pass and its smoothing follow
+    only if the fit goes on, so a converged E-step on one chunk runs the
+    log-likelihood alone. A converged fit returns the parameters its last
+    E-step scored, so
     ``final_log_likelihood`` is the last entry of ``log_likelihoods``. A
     fit stopped at ``max_iter`` returns one more M-step's parameters and
     scores them with one more forward pass (None if their likelihood
@@ -1030,9 +1119,12 @@ def em_fit(
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be finite and >= 0")
     _check_dt(init, batch.dt)
-    y = batch.samples
     dt = batch.dt
-    chunks = list(_trace_chunks(*y.shape))
+    # each chunk (n, T) as a view of its time-major copy
+    chunks = [
+        np.ascontiguousarray(batch.samples[sl].T).T
+        for sl in _trace_chunks(batch.n_traces, batch.n_samples)
+    ]
     # the states that share a mean: a charge configuration each, tied, or
     # one state each; moments are taken about each group's first state
     group = _CHARGE_GROUP if tie_emissions else np.arange(N_STATES)
@@ -1053,16 +1145,19 @@ def em_fit(
         centres = means[centre_of[live]]
         stats = []
         ll_total = 0.0
-        for sl in chunks:
-            fwd = _forward_chunk(params, chain, y[sl], store=True)
+        for y in chunks[:-1]:
+            fwd = _stored_forward(params, chain, y, _forward_chunk(params, chain, y, store=True))
             ll_total += fwd.ll
-            if sl != chunks[-1]:
-                stats.append(_smoothed_statistics(a_live, fwd, centres))
+            stats.append(_smoothed_statistics(a_live, fwd, centres))
+        # the last chunk's forward variables wait for the convergence test
+        y = chunks[-1]
+        fwd = _forward_chunk(params, chain, y, store=True)
+        ll_total += fwd.ll
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
             converged = True
             break
-        stats.append(_smoothed_statistics(a_live, fwd, centres))
+        stats.append(_smoothed_statistics(a_live, _stored_forward(params, chain, y, fwd), centres))
         pi_sum, xi_sum, moments = (sum(parts) for parts in zip(*stats))
 
         # back to all six states; the others have no mass. xi entries lack

@@ -140,13 +140,20 @@ class TraceBundle:
 
 def _atomic_write_bytes(path: str, payload) -> None:
     """Write a bytes-like ``payload`` (bytes or a contiguous array) to
-    ``path`` through a temporary file, so readers never see a partial file."""
+    ``path`` through a temporary file ``<path>.tmp``, so readers never see
+    a partial file. If the write or the rename fails, the temporary file
+    is removed and the error raised."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _atomic_write_text(path: str, payload: str) -> None:

@@ -809,6 +809,20 @@ def test_directory_as_input_exits_3_naming_the_path(tmp_path, capsys, labelled_b
     assert out.err.splitlines() == [f"is a directory: {named}"]
 
 
+def test_output_onto_a_directory_exits_3_and_leaves_no_temporary_file(tmp_path, capsys):
+    run = tmp_path / "run"
+    (run / "cap.csv").mkdir(parents=True)
+    config = _write_config(tmp_path, "emit.json", dict(_CAPACITANCE, output="cap"))
+    capsys.readouterr()
+    code = main(["emit", "--config", config, "--out", str(run)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.splitlines() == [f"is a directory: {run / 'cap.csv'}"]
+    # the rename failed; the temporary file it would have renamed is gone
+    assert sorted(p.name for p in run.iterdir()) == ["cap.csv"]
+    assert (run / "cap.csv").is_dir() and not any((run / "cap.csv").iterdir())
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub"])
 def test_out_naming_a_file_exits_2(tmp_path, capsys, out):
     (tmp_path / "file").write_text("not a directory\n")

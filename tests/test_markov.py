@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ def _parent_start_posterior_batch(params, samples):
         w /= c[t]
         beta = a @ w
     g0 = params.pi[:, None] * b[0] * beta
-    return (g0 / g0.sum(axis=0)).T, np.log(c).sum(axis=0) + shift
+    return (g0 / g0.sum(axis=0)).T, np.log(c).sum(axis=0) + shift.sum(axis=0)
 
 
 class TestStartPosteriorBatchAgainstForwardBackward:
@@ -791,7 +792,8 @@ class TestLiveStates:
 
 
 def _per_state_emissions(yt, means, stds):
-    """The emission builder as it was: one Gaussian per hidden state."""
+    """The emission builder as it was: one Gaussian per hidden state, and
+    the per-step shift."""
     b = yt[:, None, :] - means[:, None]
     b /= stds[:, None]
     b *= b
@@ -800,7 +802,7 @@ def _per_state_emissions(yt, means, stds):
     shift = b.max(axis=1)
     b -= shift[:, None, :]
     np.exp(b, out=b)
-    return b, shift.sum(axis=0)
+    return b, shift
 
 
 class TestEmissionLikelihoods:
@@ -814,10 +816,13 @@ class TestEmissionLikelihoods:
     def test_bit_identical_to_per_state_formula(self, means, stds, rows):
         means, stds, rows = np.array(means), np.array(stds), np.array(rows)
         yt = np.random.default_rng(66).uniform(-1.5, 2.5, (40, 7))
-        b, shift = markov._emission_likelihoods(yt, means, stds, rows)
+        b, shift, pick = markov._emission_likelihoods(yt, means, stds, rows)
         b_ref, shift_ref = _per_state_emissions(yt, means, stds)
-        assert b.shape == (40, rows.size, 7)
-        np.testing.assert_array_equal(b, b_ref[:, rows])
+        # one row per distinct (mean, std) pair, whichever rows are live
+        assert b.shape == (40, len(set(zip(means, stds))), 7)
+        np.testing.assert_array_equal(np.take(b, pick, axis=1), b_ref[:, rows])
+        every = markov._emission_likelihoods(yt[:1], means, stds, np.arange(N_STATES))[2]
+        np.testing.assert_array_equal(np.take(b, every, axis=1), b_ref)
         np.testing.assert_array_equal(shift, shift_ref)
 
     def test_non_live_state_with_largest_emission(self):
@@ -842,6 +847,30 @@ class TestEmissionLikelihoods:
         with pytest.raises(ZeroLikelihoodError) as err:
             start_posterior_batch(params, np.array([[0.5, 0.5, 40.5, 0.5]]))
         assert err.value.step == 2
+
+
+class TestForwardOnlyMemory:
+    """A forward-only pass builds its emission factors in blocks of steps,
+    one row per distinct Gaussian, and holds no (T, k, n) array. Peaks
+    measured with tracemalloc at the reference point, samples excluded:
+    before blocks 19.8 MB at 4000 x 100 (one segment) and 30.3 MB at
+    150 x 4200 (42 segments); with them 7.5 and 8.8 MB. The bounds keep a
+    third above those and stay well below the former peaks."""
+
+    @pytest.mark.parametrize("dt, n, t_len, ends, bound_mb", [
+        (10e-6, 4000, 100, [1, 50, 100], 10.0),
+        (40e-6, 150, 4200, [1, 2100, 4200], 12.0),
+    ], ids=["4000x100", "150x4200"])
+    def test_start_posteriors_at_peak(self, dt, n, t_len, ends, bound_mb):
+        params = _reference_params(dt)
+        samples = sr.simulate_batch(params, n, t_len, seed=71).samples
+        tracemalloc.start()
+        try:
+            start_posteriors_at(params, samples, ends)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
 
 class TestLogLikelihood:
@@ -1049,6 +1078,23 @@ class TestEmSmoothing:
         fit = sr.em_fit(batch, init)
         assert fit.converged and fit.n_iterations == 5
         assert len(calls) == fit.n_iterations - 1
+
+    def test_converged_step_runs_no_stored_forward_pass(self, monkeypatch):
+        batch, init = _reference_fit_inputs()
+        live = markov._live_states(init.pi, init.a)
+        assert markov._segment_count(live.size, *batch.samples.shape) > 1
+        calls = []
+        stored = markov._stored_forward
+
+        def counted(*args):
+            # a segmented chunk reaches it with its stitch, not its alphas
+            calls.append(args[3].alphas is None)
+            return stored(*args)
+
+        monkeypatch.setattr(markov, "_stored_forward", counted)
+        fit = sr.em_fit(batch, init)
+        assert fit.converged and fit.n_iterations == 5
+        assert calls == [True] * (fit.n_iterations - 1)
 
     def test_stopped_fit_smooths_every_step(self, monkeypatch):
         batch, init = _reference_fit_inputs()

@@ -66,12 +66,19 @@ def _ref_smoothed_statistics(a, yt, b, alphas, c, centres):
     return gamma[0].sum(axis=1), step_xi[1:].sum(axis=0), moments, gamma
 
 
+def _state_factors(params, yt, live):
+    """The emission factors (T, k, n) of the live states, one row per
+    state, and their per-trace shift summed over the steps."""
+    b, shift, pick = markov._emission_likelihoods(yt, params.emissions.means, params.emissions.stds, live)
+    return np.take(b, pick, axis=1), shift.sum(axis=0)
+
+
 def _ref_chunk(params, y):
     """Reference forward pass over rows y (n, T): (chain, yt, b, alphas, c, ll per trace)."""
     chain = markov._live_chain(params.pi, params.a)
     live, pi, a = chain
     yt = y.T
-    b, shift = markov._emission_likelihoods(yt, params.emissions.means, params.emissions.stds, live)
+    b, shift = _state_factors(params, yt, live)
     alphas, c = _ref_forward(pi, a, b)
     return chain, yt, b, alphas, c, np.log(c).sum(axis=0) + shift
 
@@ -83,9 +90,7 @@ def _ref_joint_pass(params, y, ends):
     start = np.flatnonzero(pi > 0.0)
     k_live, m = live.size, start.size
     t_len = max(ends)
-    b, shift = markov._emission_likelihoods(
-        y[:, :t_len].T, params.emissions.means, params.emissions.stds, live
-    )
+    b, shift = _state_factors(params, y[:, :t_len].T, live)
     n = b.shape[2]
     out = np.zeros((len(ends), n, N_STATES))
     c = np.empty((t_len, n))
@@ -182,6 +187,7 @@ def test_smoothed_statistics(name, segmenting):
     expected = _ref_smoothed_statistics(a, yt, b, alphas, c, centres)[:3]
     fwd = markov._forward_chunk(params, chain, y, store=True)
     np.testing.assert_allclose(fwd.ll, ll.sum(), **RTOL)
+    fwd = markov._stored_forward(params, chain, y, fwd)
     got = markov._smoothed_statistics(a, fwd, centres)
     for g, e in zip(got, expected):
         np.testing.assert_allclose(g, e, **RTOL)
