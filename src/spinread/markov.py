@@ -591,8 +591,9 @@ class _Segments:
         total = None
         for s0 in range(0, self.span, size):
             # one segment goes in as (B, n): the builder is slower over a
-            # singleton axis
-            y = self.y[s0:s0 + size] if count > 1 else self.y[s0:s0 + size, 0]
+            # singleton axis. A contiguous copy of the block is read once,
+            # where the builder would read the strided view once per pair
+            y = np.ascontiguousarray(self.y[s0:s0 + size] if count > 1 else self.y[s0:s0 + size, 0])
             steps = y.shape[0]
             into = None if out is None else out[s0:s0 + steps].reshape((steps, -1) + y.shape[1:])
             b, shift, _ = _emission_likelihoods(y, *self._emissions, out=into)
