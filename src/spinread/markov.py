@@ -590,10 +590,13 @@ class _Segments:
         count, n, size = self.count, self.n, self._block
         total = None
         for s0 in range(0, self.span, size):
-            # one segment goes in as (B, n): the builder is slower over a
-            # singleton axis. A contiguous copy of the block is read once,
-            # where the builder would read the strided view once per pair
-            y = np.ascontiguousarray(self.y[s0:s0 + size] if count > 1 else self.y[s0:s0 + size, 0])
+            y = self.y[s0:s0 + size]
+            if count == 1:
+                # one segment goes in as (B, n), as the builder is slower
+                # over a singleton axis, and compacted in the samples' own
+                # memory order: the builder reads each sample once per pair,
+                # and a copy read once beats a stride of T per trace
+                y = np.array(y[:, 0], order="K")
             steps = y.shape[0]
             into = None if out is None else out[s0:s0 + steps].reshape((steps, -1) + y.shape[1:])
             b, shift, _ = _emission_likelihoods(y, *self._emissions, out=into)
