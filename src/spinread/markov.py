@@ -781,8 +781,8 @@ def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
     x_{s-1}(i) a(i, j) w_s(j), with slot 0 of alphas giving alpha at the
     end of the previous segment (c_{-1} = 1). The last segment starts at its
     last real step with beta = 1; its padded steps have beta = 0. Four
-    numpy calls per step and one more per further run of ``seg.runs``, and
-    one with ``xi``.
+    numpy calls per step, one more per further run of ``seg.runs`` and one
+    more with ``xi``.
     """
     seg, alphas, c, p = fwd.seg, fwd.alphas, fwd.c, fwd.p
     k, n, count = alphas.shape[1], seg.n, seg.count

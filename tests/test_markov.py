@@ -854,8 +854,8 @@ class TestForwardOnlyMemory:
     one row per distinct Gaussian, and holds no (T, k, n) array. Peaks
     measured with tracemalloc at the reference point, samples excluded:
     before blocks 19.8 MB at 4000 x 100 (one segment) and 30.3 MB at
-    150 x 4200 (42 segments); with them 8.0 and 9.3 MB. The bounds keep a
-    quarter above those and stay well below the former peaks."""
+    150 x 4200 (42 segments); with them 8.0 and 8.8 MB. The bounds keep a
+    quarter or more above those and stay well below the former peaks."""
 
     @pytest.mark.parametrize("dt, n, t_len, ends, bound_mb", [
         (10e-6, 4000, 100, [1, 50, 100], 10.0),
