@@ -10,6 +10,7 @@ pass through the subnormal range keep no relative precision on either
 side, so they are also compared with ``atol=1e-290``.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -334,3 +335,79 @@ def test_underflowing_stitch_runs_unsegmented(monkeypatch):
     np.testing.assert_allclose(markov.start_posteriors_at(params, y, ends), expected, **POSTERIOR_TOL)
     np.testing.assert_allclose(segmented, expected, **POSTERIOR_TOL)
     assert calls == [16, 1]
+
+
+# -- old-vs-new golden ----------------------------------------------------------
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _golden_outputs(name):
+    params, y = _case(name)
+    ends = _window_ends(_segments_of(params, y), y.shape[1])
+    batch = sr.TraceBatch(dt=params.dt, samples=y)
+    gamma0, log_lik = markov.start_posterior_batch(params, y)
+    fit = sr.em_fit(batch, params, max_iter=3)
+    p = fit.params
+    rates = [p.rates.gamma_t0, p.rates.gamma_tm, p.rates.tlf_up, p.rates.tlf_down]
+    return {
+        "start_posteriors_at": _digest(markov.start_posteriors_at(params, y, ends)),
+        "start_posterior_batch.gamma0": _digest(gamma0),
+        "start_posterior_batch.log_lik": _digest(log_lik),
+        "log_likelihood": _digest(sr.log_likelihood(params, batch)),
+        "em_fit.params": _digest(p.pi, rates, p.emissions.means, p.emissions.stds),
+        "em_fit.log_likelihoods": _digest(fit.log_likelihoods, [fit.final_log_likelihood]),
+        "em_fit.n_iterations": fit.n_iterations,
+    }
+
+
+# sha256 of each output, recorded with the chunk loops that the one chunk
+# runner replaced (``_forward_chunk``, ``_stored_forward`` and ``_joint_pass``)
+GOLDEN_OUTPUTS = {
+    ("reference_150x4200", "segmented"): {
+        "start_posteriors_at": "cb16a37c97d640bfb3917851926b38e39b5090db74547d1938e5f42eaf0c10c2",
+        "start_posterior_batch.gamma0": "38d5dde95a38d2c8b2ac062e7b6a6244a371110e755550e77b387438247f59d0",
+        "start_posterior_batch.log_lik": "e1f15be6f4ffd25c4161607981dae0052c4d436b26e6bcb07ddde42f459cd293",
+        "log_likelihood": "453cf001d6cc8dfd04d3cd9e72edb92c095f179ae0afec90be97abe73b4416a7",
+        "em_fit.params": "dc719c48acfb42a928f45573a75ec5081010198d106e86f1dde5a49e838cd9ce",
+        "em_fit.log_likelihoods": "b49be6a4d54d9af8e6395921a75ed2bf400574cf1d77781fafa57b1fff7fd4e4",
+        "em_fit.n_iterations": 3,
+    },
+    ("reference_150x4200", "one_segment"): {
+        "start_posteriors_at": "52fd7ce28a2eac2ae5119799c4aa8599f7f10ae69f2a0295b440b4189a6b5048",
+        "start_posterior_batch.gamma0": "8c48ace60ef35e90a52861377a13371ece4f639f6a10f937015b0588eabecf06",
+        "start_posterior_batch.log_lik": "b3cdb71305ea3555f2bbe70b24b985ee7204b45b4b2413591d0e93dbcca77be1",
+        "log_likelihood": "d0529d3b4bc575a6705d106e1513fa3ae11d1142a61713d034a2c1c49a397fe2",
+        "em_fit.params": "aeb4d9a1d292b92ebf8d007c54db5d710707d6ad3ae4f6affdbe8854f0c3854d",
+        "em_fit.log_likelihoods": "cdaa7e97194aa485d661b1667b451814c29ff3d70dcaf09862b8a441d8ace09b",
+        "em_fit.n_iterations": 3,
+    },
+    ("switching_tied_padded", "segmented"): {
+        "start_posteriors_at": "82318f60f4a5bcf811e0d65d617f97c2ebc61e93004c0ca9d7f19fdc2f15a273",
+        "start_posterior_batch.gamma0": "cf1809fc258561739874ce0fa49082cc5795a655ba0c5646edf267e6dbe0656e",
+        "start_posterior_batch.log_lik": "65d08b16f23df85eff655f0d28ef7862e00fd3e334297091d81936966559899b",
+        "log_likelihood": "11eb3e86233f9b2d0e14428fcfaba510d45b22694b5aa2b09e20c5af68836bdd",
+        "em_fit.params": "984c600a1c0714eef318a8c05f2ea51a9a49d2e4c237cc578fc90b83b8c2f248",
+        "em_fit.log_likelihoods": "24b6a7d029f10ccada14adc5bf91e8965a9808ec26c4adc19db92a458b5ed01a",
+        "em_fit.n_iterations": 3,
+    },
+    ("switching_tied_padded", "one_segment"): {
+        "start_posteriors_at": "a9dbe330d3d1449b0df456cebd5e6835788422d23f654d0df62bc06b692d1d24",
+        "start_posterior_batch.gamma0": "e0faa00f5b0539b1fb9a38bd99eab3b9b2f4083924cadac436763d28c4661936",
+        "start_posterior_batch.log_lik": "e0c2c2e3913118f1a81515eef41857300ffa24cc9a026fde4c5f78d587f7ea12",
+        "log_likelihood": "11eb3e86233f9b2d0e14428fcfaba510d45b22694b5aa2b09e20c5af68836bdd",
+        "em_fit.params": "034c2f780a83ce85188b705955f29b1054ccfa3a6e95fd1281c9f7d746978457",
+        "em_fit.log_likelihoods": "1d47c2be74b528fd67bcc106641a72f8bd5764122cdd27c6cde22f5590457d95",
+        "em_fit.n_iterations": 3,
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["reference_150x4200", "switching_tied_padded"])
+def test_outputs_match_golden(name, segmenting):
+    assert _golden_outputs(name) == GOLDEN_OUTPUTS[name, segmenting]
