@@ -647,7 +647,8 @@ def _carry(a_t: np.ndarray, x: np.ndarray, seg: _Segments, c: np.ndarray, out=No
                 yield s, x
 
 
-def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.ndarray, read_at):
+def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.ndarray, read_at,
+                   log_lik: bool):
     """Every segment's transfer matrix at once, then the stitch.
 
     Segment l > 0 carries k columns from the identity, so its last state is,
@@ -661,13 +662,14 @@ def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.nd
     column sums 1^T P_l(t) (k, n) of segment l's partial transfer, which
     turn U_{l-1} into the time-zero posterior of the window ending at t.
 
-    Returns (U (L, n, k, m), P (L, n, k, k), the per-trace log-likelihood
-    without the emission shift, {t: reads}), with each U_l and P_l summing
-    to 1 per trace; or None if a stitch norm is not above _STITCH_FLOOR.
-    That happens where a trace's likelihood vanishes, since then the mass
-    the transfer carries from the live start states does (even if the
-    transfer from the identity does not), or where those start states
-    carry only underflowing mass; the caller then runs unsegmented.
+    Returns (U (L, n, k, m), P (L, n, k, k), {t: reads}, and with
+    ``log_lik`` the per-trace log-likelihood without the emission shift,
+    else None), with each U_l and P_l summing to 1 per trace; or None if a
+    stitch norm is not above _STITCH_FLOOR. That happens where a trace's
+    likelihood vanishes, since then the mass the transfer carries from the
+    live start states does (even if the transfer from the identity does
+    not), or where those start states carry only underflowing mass; the
+    caller then runs unsegmented.
     """
     k, n, count = pi.size, seg.n, seg.count
     first = np.empty((k, k, count))
@@ -690,81 +692,120 @@ def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.nd
             u[l] /= norm[l][:, None, None]
     if not np.all(norm > _STITCH_FLOOR):
         return None
+    if not log_lik:
+        return u, p, reads, None
     # c is spent: its logs go in place
     log_lik = np.log(c, out=c).reshape(seg.span, count, n).sum(axis=(0, 1)) + np.log(norm).sum(axis=0)
-    return u, p, log_lik, reads
+    return u, p, reads, log_lik
 
 
-class _Forward(NamedTuple):
-    """A trace chunk's forward pass (:func:`_forward_chunk`)."""
-
-    seg: _Segments
-    alphas: np.ndarray | None  # (S + 1, k, L*n), kept by _stored_forward
-    c: np.ndarray | None  # (S, L*n): alphas[s + 1] sums to c[s]
-    p: np.ndarray | None  # (L, n, k, k) segment transfers, for L > 1
-    u: np.ndarray | None  # (L, n, k, m) the stitch, until _stored_forward
-    ll: float  # the chunk's log-likelihood
-
-
-def _forward_chunk(params: HmmParams, chain, y: np.ndarray, store: bool, counts=None) -> _Forward:
-    """Forward pass of the live ``chain`` = (live, pi, a) over one trace chunk y (n, T).
-
-    The transfers and their stitch give the log-likelihood; with one
-    segment the forward recursion itself does. ``store`` keeps the
-    emission factors for :func:`_stored_forward` and :func:`_smooth`, and
-    with one segment the forward variables too. A stitch that fails sends
-    the chunk to L = 1, where :func:`_check_scales` reports the first step
-    at which a likelihood vanished. ``counts`` overrides the segment
-    counts tried, in order.
-    """
-    live, pi, a = chain
-    k, start = live.size, np.flatnonzero(pi > 0.0)
-    # segmented first; unsegmented if the stitch cannot be trusted
-    for count in counts or dict.fromkeys((_segment_count(k, *y.shape), 1)):
-        seg = _Segments(params, live, y, count, stored=store)
-        if seg.count > 1:
-            stitched = _transfer_pass(seg, pi, a.T, start, {})
-            if stitched is None:
-                continue
-            u, p, log_lik, _ = stitched
-            return _Forward(seg, None, None, p, u, float(seg.shift.sum()) + float(log_lik.sum()))
-        c = np.empty((seg.span, seg.n))
-        alphas = np.zeros((seg.span + 1, k, seg.n)) if store else None
-        for _ in _carry(a.T, pi[:, None, None], seg, c, None if alphas is None else alphas[1:, :, None]):
-            pass
-        _check_scales(c)
-        return _Forward(seg, alphas, c, None, None, float(seg.shift.sum()) + float(np.log(c).sum()))
-
-
-def _stored_forward(params: HmmParams, chain, y: np.ndarray, fwd: _Forward) -> _Forward:
-    """``fwd``, a stored forward pass over y, with its forward variables.
-
-    A segmented chunk runs every segment at once from the stitched forward
-    variable at its start, keeping alphas: slot s + 1 the forward variable
-    of step s scaled to sum to c_s (:func:`_carry`), slot 0 the normalised
-    one each segment starts from (zeros for segment 0). A scale that is
-    not > 0 runs the chunk again with L = 1.
-    """
-    if fwd.alphas is not None:
-        return fwd
-    live, pi, a = chain
-    seg, u = fwd.seg, fwd.u
-    k, n, count = live.size, seg.n, seg.count
+def _segment_forward(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, u: np.ndarray):
+    """Every segment's forward recursion at once, segment 0 from pi and
+    each later one from the stitched forward variable at its start (``u``,
+    :func:`_transfer_pass`). Returns (alphas (S + 1, k, L*n), c (S, L*n)):
+    slot s + 1 the forward variable of step s scaled to sum to c_s
+    (:func:`_carry`), slot 0 the normalised one each segment starts from
+    (zeros for segment 0)."""
+    k, n, count = pi.size, seg.n, seg.count
     alphas = np.zeros((seg.span + 1, k, count * n))
     alphas[0, :, n:] = u[:-1].sum(axis=3).transpose(2, 0, 1).reshape(k, (count - 1) * n)
     prop = np.empty((k, count * n))
     prop[:, :n] = pi[:, None]
-    prop[:, n:] = a.T @ alphas[0, :, n:]
+    prop[:, n:] = a_t @ alphas[0, :, n:]
     c = np.empty((seg.span, count * n))
-    for _ in _carry(a.T, prop[:, None], seg, c, alphas[1:, :, None]):
+    for _ in _carry(a_t, prop[:, None], seg, c, alphas[1:, :, None]):
         pass
-    if not np.all(c > 0.0):
-        return _forward_chunk(params, chain, y, store=True, counts=(1,))
-    return fwd._replace(alphas=alphas, c=c, u=None)
+    return alphas, c
+
+
+class _Forward(NamedTuple):
+    """A trace chunk's forward pass (:func:`_run_chunk`)."""
+
+    seg: _Segments
+    posteriors: np.ndarray  # (len(ends), n, 6) time-zero posteriors at the window ends
+    log_lik: np.ndarray | None  # (n,) per trace without seg.shift, if asked for
+    alphas: np.ndarray | None  # (S + 1, k, L*n) of a stored pass, for _smooth
+    c: np.ndarray | None  # (S, L*n): alphas[s + 1] sums to c[s]
+    p: np.ndarray | None  # (L, n, k, k) segment transfers, for L > 1
+
+    def total_log_lik(self) -> float:
+        """The chunk's log-likelihood, summed over its traces."""
+        return float(self.seg.shift.sum()) + float(self.log_lik.sum())
+
+
+def _run_chunk(params: HmmParams, chain, y: np.ndarray, ends=(), log_lik: bool = False,
+               stored: bool = False):
+    """The forward pass of the live ``chain`` = (live, pi, a) over one trace chunk y (n, T).
+
+    Fixed-point smoothing (Cappe, Moulines & Ryden 2005): the joint forward
+    variable J_t(s, s0), proportional to P(s_t = s, s_0 = s0, y_0..t), sums
+    over s to the time-zero posterior of the window ending at t, for each
+    t + 1 in ``ends``. Only live states are carried (:func:`_live_states`),
+    and start states with pi = 0 stay exactly zero and are not carried
+    either. The chunk runs as L time segments (:func:`_segment_count`),
+    whose transfers and stitch (:func:`_transfer_pass`) give J at each end;
+    a stored pass then runs every segment's forward recursion from the
+    stitch (:func:`_segment_forward`). If the stitch cannot be trusted, or
+    that recursion finds a scale not > 0, the chunk runs again with L = 1,
+    where the recursion carries J over the start states if ends are read,
+    else pi, and :func:`_check_scales` reports the first step at which a
+    likelihood vanished.
+
+    Yields the chunk's :class:`_Forward`, with the per-trace
+    log-likelihood only if ``log_lik``, and with ``stored`` the emission
+    factors and forward variables that :func:`_smooth` reads. A stored
+    segmented pass is yielded first before its in-segment recursion, without
+    forward variables, so that a caller may stop there, and then with them.
+    """
+    live, pi, a = chain
+    k, start, a_t = live.size, np.flatnonzero(pi > 0.0), a.T
+    # segmented first; unsegmented if the segments cannot be trusted
+    for count in dict.fromkeys((_segment_count(k, *y.shape), 1)):
+        seg = _Segments(params, live, y, count, stored=stored)
+        read_at = {}
+        for t in dict.fromkeys(e - 1 for e in ends):
+            l, s = divmod(t, seg.span)
+            read_at.setdefault(s, []).append((t, l))
+        alphas = c = p = None
+        if seg.count > 1:
+            stitched = _transfer_pass(seg, pi, a_t, start, read_at, log_lik)
+            if stitched is None:
+                continue
+            u, p, reads, ll = stitched
+        else:
+            # the per-trace normalisation of step t-1, over both s and
+            # s0, rides on step t's emission factor (_carry)
+            c = np.empty((seg.span, seg.n))
+            if stored:
+                alphas = np.zeros((seg.span + 1, k, seg.n))
+            reads = {}
+            x0 = np.diag(pi)[:, start, None] if ends else pi[:, None, None]
+            for s, x in _carry(a_t, x0, seg, c, None if alphas is None else alphas[1:, :, None]):
+                for t, _ in read_at.get(s, ()):
+                    reads[t] = x.sum(axis=0)
+            _check_scales(c)
+            # the scales are spent unless smoothing reads them: logs in place
+            ll = np.log(c, out=None if stored else c).sum(axis=0) if log_lik else None
+        post = np.zeros((len(ends), seg.n, N_STATES))
+        for i, e in enumerate(ends):
+            l = (e - 1) // seg.span
+            g0 = reads[e - 1]
+            if seg.count > 1:
+                g0 = g0[start] if l == 0 else np.einsum("in,nim->mn", g0, u[l - 1])
+            post[i][:, live[start]] = (g0 / g0.sum(axis=0)).T
+        fwd = _Forward(seg, post, ll, alphas, c, p)
+        if stored and seg.count > 1:
+            yield fwd
+            alphas, c = _segment_forward(seg, pi, a_t, u)
+            if not np.all(c > 0.0):
+                continue
+            fwd = fwd._replace(alphas=alphas, c=c)
+        yield fwd
+        return
 
 
 def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
-    """Backward pass over a stored forward pass ``fwd`` (:func:`_forward_chunk`).
+    """Backward pass over a stored forward pass ``fwd`` (:func:`_run_chunk`).
 
     Returns the posteriors gamma (L*S, k, n) in time order, zero at padded
     steps, and with ``xi`` the expected transition counts (k, k) without
@@ -826,12 +867,13 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     n_window = _window_samples(trace.dt, trace.samples.size, t_read)
     chain = _live_chain(params.pi, params.a)
     live, _, a = chain
-    y = trace.samples[np.newaxis, :n_window]
-    fwd = _stored_forward(params, chain, y, _forward_chunk(params, chain, y, store=True))
+    run = _run_chunk(params, chain, trace.samples[np.newaxis, :n_window], log_lik=True, stored=True)
+    fwd = next(run)
+    fwd = next(run, fwd)
     gamma = _smooth(a, fwd, xi=False)[0][:n_window, :, 0]
     probs = np.zeros((n_window, N_STATES))
     probs[:, live] = gamma / gamma.sum(axis=1, keepdims=True)
-    return Posterior(probs=probs, log_likelihood=fwd.ll)
+    return Posterior(probs=probs, log_likelihood=fwd.total_log_lik())
 
 
 def _sample_matrix(samples) -> np.ndarray:
@@ -852,11 +894,13 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
     backward pass is run and only O(chunk * n_samples) memory is used.
     """
     y = _sample_matrix(samples)
+    chain = _live_chain(params.pi, params.a)
     gamma0 = np.zeros((y.shape[0], N_STATES))
     log_lik = np.empty(y.shape[0])
-    for sl, g0, (ll, c, shift) in _joint_pass(params, y, [y.shape[1]]):
-        gamma0[sl] = g0[0]
-        log_lik[sl] = (np.log(c, out=c).sum(axis=0) if ll is None else ll) + shift
+    for sl in _trace_chunks(*y.shape):
+        fwd = next(_run_chunk(params, chain, y[sl], [y.shape[1]], log_lik=True))
+        gamma0[sl] = fwd.posteriors[0]
+        log_lik[sl] = fwd.log_lik + fwd.seg.shift
     return gamma0, log_lik
 
 
@@ -866,71 +910,18 @@ def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> 
     Entry k of the (len(window_ends), n, 6) result is the posterior given
     the first ``window_ends[k]`` samples, i.e. ``start_posterior_batch``
     on ``samples[:, :window_ends[k]]``, from one joint pass over the
-    longest window (:func:`_joint_pass`).
+    longest window (:func:`_run_chunk`), one chunk of traces at a time.
     """
     y = _sample_matrix(samples)
     ends = [int(e) for e in window_ends]
     if not ends or min(ends) < 1 or max(ends) > y.shape[1]:
         raise ValueError("window ends must be non-empty and within 1..n_samples")
-    out = np.zeros((len(ends), y.shape[0], N_STATES))
-    for sl, g0, _ in _joint_pass(params, y, ends):
-        out[:, sl] = g0
-    return out
-
-
-def _joint_pass(params: HmmParams, y: np.ndarray, ends: list[int]):
-    """Time-zero posteriors at each window end, one chunk of traces at a time.
-
-    Fixed-point smoothing (Cappe, Moulines & Ryden 2005): the joint forward
-    variable J_t(s, s0), proportional to P(s_t = s, s_0 = s0, y_0..t), sums
-    over s to the time-zero posterior of the window ending at t. Only live
-    states are carried (:func:`_live_states`), and start states with pi = 0
-    stay exactly zero and are not carried either. With one segment the
-    recursion carries J over the longest window; with L it carries the
-    segment transfers instead, and a window end t in segment l > 0 is read
-    as (1^T P_l(t)) J at the end of segment l-1 (:func:`_transfer_pass`).
-
-    Yields, per chunk, (rows, posteriors (len(ends), n_chunk, 6), (ll, c,
-    shift)): the per-trace log-likelihood of the longest window is
-    ll + shift, or, with one segment, where ll is None and left to the
-    caller that wants it, sum_t log c_t + shift over the scales c (T, n).
-    """
-    live, pi, a = _live_chain(params.pi, params.a)
-    start = np.flatnonzero(pi > 0.0)
+    chain = _live_chain(params.pi, params.a)
     t_len = max(ends)
+    out = np.zeros((len(ends), y.shape[0], N_STATES))
     for sl in _trace_chunks(y.shape[0], t_len):
-        chunk = y[sl, :t_len]
-        for count in dict.fromkeys((_segment_count(live.size, *chunk.shape), 1)):
-            seg = _Segments(params, live, chunk, count)
-            read_at = {}
-            for t in dict.fromkeys(e - 1 for e in ends):
-                l, s = divmod(t, seg.span)
-                read_at.setdefault(s, []).append((t, l))
-            if seg.count > 1:
-                stitched = _transfer_pass(seg, pi, a.T, start, read_at)
-                if stitched is None:
-                    continue
-                u, _, log_lik, reads = stitched
-                c = None
-            else:
-                # the per-trace normalisation of step t-1, over both s and
-                # s0, rides on step t's emission factor (_carry)
-                c = np.empty((t_len, seg.n))
-                reads = {}
-                for s, x in _carry(a.T, np.diag(pi)[:, start, None], seg, c):
-                    for t, _ in read_at.get(s, ()):
-                        reads[t] = x.sum(axis=0)
-                _check_scales(c)
-                log_lik = None
-            out = np.zeros((len(ends), seg.n, N_STATES))
-            for i, e in enumerate(ends):
-                l = (e - 1) // seg.span
-                g0 = reads[e - 1]
-                if seg.count > 1:
-                    g0 = g0[start] if l == 0 else np.einsum("in,nim->mn", g0, u[l - 1])
-                out[i][:, live[start]] = (g0 / g0.sum(axis=0)).T
-            yield sl, out, (log_lik, c, seg.shift)
-            break
+        out[:, sl] = next(_run_chunk(params, chain, y[sl, :t_len], ends)).posteriors
+    return out
 
 
 def brute_force_posterior(params: HmmParams, trace: Trace) -> Posterior:
@@ -985,7 +976,7 @@ def log_likelihood(params: HmmParams, batch: TraceBatch) -> float:
     chain = _live_chain(params.pi, params.a)
     total = 0.0
     for sl in _trace_chunks(batch.n_traces, batch.n_samples):
-        total += _forward_chunk(params, chain, batch.samples[sl], store=False).ll
+        total += next(_run_chunk(params, chain, batch.samples[sl], log_lik=True)).total_log_lik()
     return total
 
 
@@ -1149,19 +1140,19 @@ def em_fit(
         centres = means[centre_of[live]]
         stats = []
         ll_total = 0.0
-        for y in chunks[:-1]:
-            fwd = _stored_forward(params, chain, y, _forward_chunk(params, chain, y, store=True))
-            ll_total += fwd.ll
-            stats.append(_smoothed_statistics(a_live, fwd, centres))
-        # the last chunk's forward variables wait for the convergence test
-        y = chunks[-1]
-        fwd = _forward_chunk(params, chain, y, store=True)
-        ll_total += fwd.ll
+        for i, y in enumerate(chunks, 1):
+            run = _run_chunk(params, chain, y, log_lik=True, stored=True)
+            fwd = next(run)
+            ll_total += fwd.total_log_lik()
+            # the last chunk's in-segment forward pass waits for the
+            # convergence test
+            if i < len(chunks):
+                stats.append(_smoothed_statistics(a_live, next(run, fwd), centres))
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
             converged = True
             break
-        stats.append(_smoothed_statistics(a_live, _stored_forward(params, chain, y, fwd), centres))
+        stats.append(_smoothed_statistics(a_live, next(run, fwd), centres))
         pi_sum, xi_sum, moments = (sum(parts) for parts in zip(*stats))
 
         # back to all six states; the others have no mass. xi entries lack

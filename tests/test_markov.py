@@ -872,6 +872,25 @@ class TestForwardOnlyMemory:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6
 
+    def test_log_likelihood_peak(self):
+        # 4000 x 400 runs as one segment, where both passes hold their
+        # (T, n) scales; log_likelihood carries one column per trace against
+        # start_posterior_batch's three, so it needs no more memory. It
+        # peaked at 25.7 MB against 17.1 while it took the logs of its
+        # scales into a second (T, n) array; the margin is 1 MB
+        params = _reference_params()
+        batch = sr.simulate_batch(params, 4000, 400, seed=71)
+        peaks = []
+        for run in (lambda: sr.log_likelihood(params, batch),
+                    lambda: start_posterior_batch(params, batch.samples)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] + 1e6
+
 
 class TestLogLikelihood:
     def test_single_sample_mixture_density(self):
@@ -1084,14 +1103,14 @@ class TestEmSmoothing:
         live = markov._live_states(init.pi, init.a)
         assert markov._segment_count(live.size, *batch.samples.shape) > 1
         calls = []
-        stored = markov._stored_forward
+        stored = markov._segment_forward
 
         def counted(*args):
-            # a segmented chunk reaches it with its stitch, not its alphas
-            calls.append(args[3].alphas is None)
+            # the in-segment forward pass of a segmented chunk
+            calls.append(args[0].count > 1)
             return stored(*args)
 
-        monkeypatch.setattr(markov, "_stored_forward", counted)
+        monkeypatch.setattr(markov, "_segment_forward", counted)
         fit = sr.em_fit(batch, init)
         assert fit.converged and fit.n_iterations == 5
         assert calls == [True] * (fit.n_iterations - 1)

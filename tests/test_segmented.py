@@ -186,10 +186,10 @@ def test_smoothed_statistics(name, segmenting):
     live, _, a = chain
     centres = params.emissions.means[live] + 0.01
     expected = _ref_smoothed_statistics(a, yt, b, alphas, c, centres)[:3]
-    fwd = markov._forward_chunk(params, chain, y, store=True)
-    np.testing.assert_allclose(fwd.ll, ll.sum(), **RTOL)
-    fwd = markov._stored_forward(params, chain, y, fwd)
-    got = markov._smoothed_statistics(a, fwd, centres)
+    run = markov._run_chunk(params, chain, y, log_lik=True, stored=True)
+    fwd = next(run)
+    np.testing.assert_allclose(fwd.total_log_lik(), ll.sum(), **RTOL)
+    got = markov._smoothed_statistics(a, next(run, fwd), centres)
     for g, e in zip(got, expected):
         np.testing.assert_allclose(g, e, **RTOL)
 
@@ -292,7 +292,7 @@ def test_vanishing_step_in_each_segment(entry, vanish_at):
     live, pi, a = markov._live_chain(params.pi, params.a)
     transfer = markov._Segments(params, live, y[:1], 10)
     start = np.flatnonzero(pi > 0)
-    assert markov._transfer_pass(transfer, pi, a.T, start, {}) is None
+    assert markov._transfer_pass(transfer, pi, a.T, start, {}, True) is None
     if vanish_at >= 10:
         # started with mass on T0 too, that segment alone has a likelihood
         l = vanish_at // 10
@@ -315,26 +315,77 @@ def test_every_state_vanishing_in_a_middle_segment(entry):
     assert err.value.step == _ref_step(params, y) == 55
 
 
-def test_underflowing_stitch_runs_unsegmented(monkeypatch):
+def _rerun_posteriors_at(params, y):
+    ends = [1, 50, y.shape[1]]
+    expected, _ = _ref_joint_pass(params, y, ends)
+    np.testing.assert_allclose(markov.start_posteriors_at(params, y, ends), expected, **POSTERIOR_TOL)
+    return 1
+
+
+def _rerun_posterior_batch(params, y):
+    expected, ll = _ref_joint_pass(params, y, [y.shape[1]])
+    gamma0, log_lik = markov.start_posterior_batch(params, y)
+    np.testing.assert_allclose(gamma0, expected[0], **POSTERIOR_TOL)
+    np.testing.assert_allclose(log_lik, ll, **RTOL)
+    return 1
+
+
+def _rerun_log_likelihood(params, y):
+    got = sr.log_likelihood(params, sr.TraceBatch(dt=params.dt, samples=y))
+    np.testing.assert_allclose(got, _ref_chunk(params, y)[-1].sum(), **RTOL)
+    return 1
+
+
+def _rerun_forward_backward(params, y):
+    for row in y[:3]:
+        chain, yt, b, alphas, c, ll = _ref_chunk(params, row[None, :])
+        live, _, a = chain
+        gamma = _ref_smoothed_statistics(a, yt, b, alphas, c, np.zeros(live.size))[3]
+        post = sr.forward_backward(params, sr.Trace(dt=params.dt, samples=row))
+        expected = np.zeros((row.size, N_STATES))
+        expected[:, live] = gamma[:, :, 0] / gamma.sum(axis=1)
+        np.testing.assert_allclose(post.probs, expected, **POSTERIOR_TOL)
+        np.testing.assert_allclose(post.log_likelihood, ll[0], **RTOL)
+    return 3
+
+
+def _rerun_em_fit(params, y):
+    # two E-steps, then the log-likelihood of the parameters returned
+    fit = sr.em_fit(sr.TraceBatch(dt=params.dt, samples=y), params, max_iter=2)
+    assert not fit.converged
+    np.testing.assert_allclose(fit.log_likelihoods[0], _ref_chunk(params, y)[-1].sum(), **RTOL)
+    np.testing.assert_allclose(fit.final_log_likelihood, _ref_chunk(fit.params, y)[-1].sum(), **RTOL)
+    return 3
+
+
+_RERUNS = {
+    "start_posteriors_at": _rerun_posteriors_at,
+    "start_posterior_batch": _rerun_posterior_batch,
+    "log_likelihood": _rerun_log_likelihood,
+    "forward_backward": _rerun_forward_backward,
+    "em_fit": _rerun_em_fit,
+}
+
+
+@pytest.mark.parametrize("entry", list(_RERUNS))
+def test_underflowing_stitch_runs_unsegmented(monkeypatch, entry):
     # a floor above every stitch norm sends each chunk to one segment,
     # which gives the unsegmented results
     params, y = _case("switching_tied_padded")
-    ends = [1, 50, 263]
-    segmented = markov.start_posteriors_at(params, y, ends)
+    count = _segments_of(params, y[:1] if entry == "forward_backward" else y).count
+    assert count > 1
     monkeypatch.setattr(markov, "_STITCH_FLOOR", 2.0)
     calls = []
     segments = markov._Segments
 
-    def counted(*args):
-        seg = segments(*args)
+    def counted(*args, **kwargs):
+        seg = segments(*args, **kwargs)
         calls.append(seg.count)
         return seg
 
     monkeypatch.setattr(markov, "_Segments", counted)
-    expected, _ = _ref_joint_pass(params, y, ends)
-    np.testing.assert_allclose(markov.start_posteriors_at(params, y, ends), expected, **POSTERIOR_TOL)
-    np.testing.assert_allclose(segmented, expected, **POSTERIOR_TOL)
-    assert calls == [16, 1]
+    n_chunks = _RERUNS[entry](params, y)
+    assert calls == [count, 1] * n_chunks
 
 
 # -- old-vs-new golden ----------------------------------------------------------
@@ -367,7 +418,10 @@ def _golden_outputs(name):
 
 
 # sha256 of each output, recorded with the chunk loops that the one chunk
-# runner replaced (``_forward_chunk``, ``_stored_forward`` and ``_joint_pass``)
+# runner replaced (``_forward_chunk``, ``_stored_forward`` and ``_joint_pass``).
+# Three one-segment log-likelihood digests were re-recorded with the runner
+# (marked below): test_one_segment_log_likelihoods_hold_the_old_values
+# explains the difference and holds the values
 GOLDEN_OUTPUTS = {
     ("reference_150x4200", "segmented"): {
         "start_posteriors_at": "cb16a37c97d640bfb3917851926b38e39b5090db74547d1938e5f42eaf0c10c2",
@@ -384,7 +438,8 @@ GOLDEN_OUTPUTS = {
         "start_posterior_batch.log_lik": "b3cdb71305ea3555f2bbe70b24b985ee7204b45b4b2413591d0e93dbcca77be1",
         "log_likelihood": "d0529d3b4bc575a6705d106e1513fa3ae11d1142a61713d034a2c1c49a397fe2",
         "em_fit.params": "aeb4d9a1d292b92ebf8d007c54db5d710707d6ad3ae4f6affdbe8854f0c3854d",
-        "em_fit.log_likelihoods": "cdaa7e97194aa485d661b1667b451814c29ff3d70dcaf09862b8a441d8ace09b",
+        # re-recorded
+        "em_fit.log_likelihoods": "8233606c0d044961151945aa3425bfdf9542071a13e03213d2708eac087d1c5d",
         "em_fit.n_iterations": 3,
     },
     ("switching_tied_padded", "segmented"): {
@@ -400,9 +455,11 @@ GOLDEN_OUTPUTS = {
         "start_posteriors_at": "a9dbe330d3d1449b0df456cebd5e6835788422d23f654d0df62bc06b692d1d24",
         "start_posterior_batch.gamma0": "e0faa00f5b0539b1fb9a38bd99eab3b9b2f4083924cadac436763d28c4661936",
         "start_posterior_batch.log_lik": "e0c2c2e3913118f1a81515eef41857300ffa24cc9a026fde4c5f78d587f7ea12",
-        "log_likelihood": "11eb3e86233f9b2d0e14428fcfaba510d45b22694b5aa2b09e20c5af68836bdd",
+        # re-recorded
+        "log_likelihood": "a9beb7490052b9da62f9fce2080be8ef88abfb4ba93b79c8c950c3977082f513",
         "em_fit.params": "034c2f780a83ce85188b705955f29b1054ccfa3a6e95fd1281c9f7d746978457",
-        "em_fit.log_likelihoods": "1d47c2be74b528fd67bcc106641a72f8bd5764122cdd27c6cde22f5590457d95",
+        # re-recorded
+        "em_fit.log_likelihoods": "045bb5d9635c6f429c41e7fa09d9e23a9437b8d807342deca35fb210717534da",
         "em_fit.n_iterations": 3,
     },
 }
@@ -411,3 +468,31 @@ GOLDEN_OUTPUTS = {
 @pytest.mark.parametrize("name", ["reference_150x4200", "switching_tied_padded"])
 def test_outputs_match_golden(name, segmenting):
     assert _golden_outputs(name) == GOLDEN_OUTPUTS[name, segmenting]
+
+
+# The one-segment log-likelihoods of the chunk loops that the runner
+# replaced (float.hex): log_likelihood, then em_fit(max_iter=3)'s three
+# log-likelihoods and its final one
+OLD_ONE_SEGMENT_LOG_LIKELIHOODS = {
+    "reference_150x4200": ("-0x1.a8e628c803ec0p+16", "-0x1.a8e628c803ec0p+16",
+                           "-0x1.a8e06027472a9p+16", "-0x1.a8e05c269f6dep+16",
+                           "-0x1.a8e05c209c8d0p+16"),
+    "switching_tied_padded": ("-0x1.5ba4ffbc0030bp+10", "-0x1.5ba4ffbc0030bp+10",
+                              "-0x1.5ad07dd9516c8p+10", "-0x1.5ac4427e51530p+10",
+                              "-0x1.5abfb69fb2d4cp+10"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_ONE_SEGMENT_LOG_LIKELIHOODS))
+def test_one_segment_log_likelihoods_hold_the_old_values(name, monkeypatch):
+    # With one segment a chunk's total was one sum over all its (T, n) log
+    # scales; the runner sums each trace over its steps first, as
+    # start_posterior_batch always has, and then the traces. The same terms
+    # in another order: some totals move by one ulp
+    monkeypatch.setattr(markov, "_SEGMENT_ELEMENTS", 0)
+    params, y = _case(name)
+    batch = sr.TraceBatch(dt=params.dt, samples=y)
+    fit = sr.em_fit(batch, params, max_iter=3)
+    new = [sr.log_likelihood(params, batch), *fit.log_likelihoods, fit.final_log_likelihood]
+    old = [float.fromhex(v) for v in OLD_ONE_SEGMENT_LOG_LIKELIHOODS[name]]
+    np.testing.assert_allclose(new, old, rtol=1e-13, atol=0)
