@@ -173,10 +173,12 @@ def test_cases_are_segmented(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_log_likelihood(name, segmenting):
-    params, y = _case(name)
-    expected = _ref_chunk(params, y)[-1].sum()
+    _check_log_likelihood(*_case(name))
+
+
+def _check_log_likelihood(params, y):
     got = sr.log_likelihood(params, sr.TraceBatch(dt=params.dt, samples=y))
-    np.testing.assert_allclose(got, expected, **RTOL)
+    np.testing.assert_allclose(got, _ref_chunk(params, y)[-1].sum(), **RTOL)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -196,7 +198,11 @@ def test_smoothed_statistics(name, segmenting):
 
 @pytest.mark.parametrize("name", ["reference_n1_prime", "switching_untied_padded"])
 def test_forward_backward(name, segmenting):
-    params, y = _case(name)
+    _check_forward_backward(*_case(name))
+
+
+def _check_forward_backward(params, y):
+    """forward_backward on the first three rows of y."""
     for row in y[:3]:
         chain, yt, b, alphas, c, ll = _ref_chunk(params, row[None, :])
         live, _, a = chain
@@ -220,14 +226,20 @@ def _window_ends(seg, t_len):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_start_posteriors_at_segment_ends(name, segmenting):
     params, y = _case(name)
-    ends = _window_ends(_segments_of(params, y), y.shape[1])
+    _check_start_posteriors_at(params, y, _window_ends(_segments_of(params, y), y.shape[1]))
+
+
+def _check_start_posteriors_at(params, y, ends):
     expected, _ = _ref_joint_pass(params, y, ends)
     np.testing.assert_allclose(markov.start_posteriors_at(params, y, ends), expected, **POSTERIOR_TOL)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_start_posterior_batch(name, segmenting):
-    params, y = _case(name)
+    _check_start_posterior_batch(*_case(name))
+
+
+def _check_start_posterior_batch(params, y):
     expected, ll = _ref_joint_pass(params, y, [y.shape[1]])
     gamma0, log_lik = markov.start_posterior_batch(params, y)
     np.testing.assert_allclose(gamma0, expected[0], **POSTERIOR_TOL)
@@ -315,55 +327,21 @@ def test_every_state_vanishing_in_a_middle_segment(entry):
     assert err.value.step == _ref_step(params, y) == 55
 
 
-def _rerun_posteriors_at(params, y):
-    ends = [1, 50, y.shape[1]]
-    expected, _ = _ref_joint_pass(params, y, ends)
-    np.testing.assert_allclose(markov.start_posteriors_at(params, y, ends), expected, **POSTERIOR_TOL)
-    return 1
-
-
-def _rerun_posterior_batch(params, y):
-    expected, ll = _ref_joint_pass(params, y, [y.shape[1]])
-    gamma0, log_lik = markov.start_posterior_batch(params, y)
-    np.testing.assert_allclose(gamma0, expected[0], **POSTERIOR_TOL)
-    np.testing.assert_allclose(log_lik, ll, **RTOL)
-    return 1
-
-
-def _rerun_log_likelihood(params, y):
-    got = sr.log_likelihood(params, sr.TraceBatch(dt=params.dt, samples=y))
-    np.testing.assert_allclose(got, _ref_chunk(params, y)[-1].sum(), **RTOL)
-    return 1
-
-
-def _rerun_forward_backward(params, y):
-    for row in y[:3]:
-        chain, yt, b, alphas, c, ll = _ref_chunk(params, row[None, :])
-        live, _, a = chain
-        gamma = _ref_smoothed_statistics(a, yt, b, alphas, c, np.zeros(live.size))[3]
-        post = sr.forward_backward(params, sr.Trace(dt=params.dt, samples=row))
-        expected = np.zeros((row.size, N_STATES))
-        expected[:, live] = gamma[:, :, 0] / gamma.sum(axis=1)
-        np.testing.assert_allclose(post.probs, expected, **POSTERIOR_TOL)
-        np.testing.assert_allclose(post.log_likelihood, ll[0], **RTOL)
-    return 3
-
-
-def _rerun_em_fit(params, y):
+def _check_em_fit(params, y):
     # two E-steps, then the log-likelihood of the parameters returned
     fit = sr.em_fit(sr.TraceBatch(dt=params.dt, samples=y), params, max_iter=2)
     assert not fit.converged
     np.testing.assert_allclose(fit.log_likelihoods[0], _ref_chunk(params, y)[-1].sum(), **RTOL)
     np.testing.assert_allclose(fit.final_log_likelihood, _ref_chunk(fit.params, y)[-1].sum(), **RTOL)
-    return 3
 
 
+# entry point: (check against the reference loops, chunk passes it runs)
 _RERUNS = {
-    "start_posteriors_at": _rerun_posteriors_at,
-    "start_posterior_batch": _rerun_posterior_batch,
-    "log_likelihood": _rerun_log_likelihood,
-    "forward_backward": _rerun_forward_backward,
-    "em_fit": _rerun_em_fit,
+    "start_posteriors_at": (lambda p, y: _check_start_posteriors_at(p, y, [1, 50, y.shape[1]]), 1),
+    "start_posterior_batch": (_check_start_posterior_batch, 1),
+    "log_likelihood": (_check_log_likelihood, 1),
+    "forward_backward": (_check_forward_backward, 3),
+    "em_fit": (_check_em_fit, 3),
 }
 
 
@@ -384,8 +362,9 @@ def test_underflowing_stitch_runs_unsegmented(monkeypatch, entry):
         return seg
 
     monkeypatch.setattr(markov, "_Segments", counted)
-    n_chunks = _RERUNS[entry](params, y)
-    assert calls == [count, 1] * n_chunks
+    check, n_passes = _RERUNS[entry]
+    check(params, y)
+    assert calls == [count, 1] * n_passes
 
 
 # -- old-vs-new golden ----------------------------------------------------------
