@@ -793,7 +793,7 @@ def _run_chunk(params: HmmParams, chain, y: np.ndarray, ends=(), log_lik: bool =
             if seg.count > 1:
                 g0 = g0[start] if l == 0 else np.einsum("in,nim->mn", g0, u[l - 1])
             post[i][:, live[start]] = (g0 / g0.sum(axis=0)).T
-        fwd = _Forward(seg, post, ll, alphas, c, p)
+        fwd = _Forward(seg, post, ll, alphas, c if stored else None, p)
         if stored and seg.count > 1:
             yield fwd
             alphas, c = _segment_forward(seg, pi, a_t, u)
