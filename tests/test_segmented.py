@@ -367,6 +367,49 @@ def test_underflowing_stitch_runs_unsegmented(monkeypatch, entry):
     assert calls == [count, 1] * n_passes
 
 
+def _count_segments(monkeypatch):
+    calls = []
+    segments = markov._Segments
+
+    def counted(*args, **kwargs):
+        seg = segments(*args, **kwargs)
+        calls.append(seg.count)
+        return seg
+
+    monkeypatch.setattr(markov, "_Segments", counted)
+    return calls
+
+
+@pytest.mark.parametrize("entry", ["forward_backward", "em_fit"])
+def test_vanishing_in_segment_scale_runs_unsegmented(monkeypatch, entry):
+    # a scale of the in-segment forward pass set to 0 sends the stored
+    # chunk back to one segment, which gives the unsegmented results
+    params, y = _case("switching_tied_padded")
+    count = _segments_of(params, y[:1] if entry == "forward_backward" else y).count
+    assert count > 1
+    in_segment = markov._segment_forward
+
+    def zeroed(*args):
+        alphas, c = in_segment(*args)
+        c[1, 0] = 0.0
+        return alphas, c
+
+    batch = sr.TraceBatch(dt=params.dt, samples=y)
+    stitched = sr.log_likelihood(params, batch)
+    monkeypatch.setattr(markov, "_segment_forward", zeroed)
+    calls = _count_segments(monkeypatch)
+    if entry == "forward_backward":
+        _check_forward_backward(params, y)
+        assert calls == [count, 1] * 3
+    else:
+        _check_em_fit(params, y)
+        # two stored E-steps, then the forward-only score of the result
+        assert calls == [count, 1, count, 1, count]
+        # the E-step keeps the chunk's log-likelihood from the stitch
+        fit = sr.em_fit(batch, params, max_iter=1)
+        assert fit.log_likelihoods[0] == stitched
+
+
 # -- old-vs-new golden ----------------------------------------------------------
 
 
