@@ -461,29 +461,32 @@ def _live_chain(pi: np.ndarray, a: np.ndarray):
     return live, pi[live], a[np.ix_(live, live)]
 
 
-def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, rows: np.ndarray,
-                          out=None):
-    """Emission likelihoods, one row per distinct (mean, std) pair of the
-    six hidden states, rescaled so that the best pair has 1 at each step.
-
-    yt is (T, ...), time first and the traces on the trailing axes, e.g.
-    a block of steps of (T, n) or of a chunk's folded (S, L, n)
-    (:class:`_Segments`). Returns b of shape (T, P, ...) over the P
-    distinct pairs, C-contiguous so that each step's slice is one block of
-    memory whatever the layout of yt (often a transposed view); the
-    per-step log-scale shift that was subtracted, yt.shape, to be added
-    back to log-likelihoods; and ``pick``, the pair of each state in
-    ``rows``: state rows[i] has the factors b[:, pick[i]]. The scaled
-    recursions need the factors only up to a per-step constant (Rabiner
-    1989), so the recursions pick each live state's row per step and no
-    state-major array is built. b is written to ``out`` if given.
-    """
+def _emission_pairs(means: np.ndarray, stds: np.ndarray):
+    """(mu, sd, pair_of): the P distinct (mean, std) pairs of the six
+    hidden states and the pair of each state."""
     pair_index = {}
     pair_of = np.array([
         pair_index.setdefault(pair, len(pair_index))
         for pair in zip(means.tolist(), stds.tolist())
     ])
     mu, sd = np.array(list(pair_index)).T
+    return mu, sd, pair_of
+
+
+def _emission_likelihoods(yt: np.ndarray, mu: np.ndarray, sd: np.ndarray, out=None):
+    """Emission likelihoods of the pairs (mu, sd) of :func:`_emission_pairs`,
+    rescaled so that the best pair has 1 at each step.
+
+    yt is (T, ...), time first and the traces on the trailing axes, e.g.
+    a block of steps of (T, n) or of a chunk's folded (S, L, n)
+    (:class:`_Segments`). Returns b of shape (T, P, ...), C-contiguous so
+    that each step's slice is one block of memory whatever the layout of
+    yt (often a transposed view), and the per-step log-scale shift that
+    was subtracted, yt.shape, to be added back to log-likelihoods. The
+    scaled recursions need the factors only up to a per-step constant
+    (Rabiner 1989), so they pick each live state's row per step and no
+    state-major array is built. b is written to ``out`` if given.
+    """
     per_pair = (-1,) + (1,) * (yt.ndim - 1)
     b = np.subtract(yt[:, None], mu.reshape(per_pair), out=out, order="C")
     b /= sd.reshape(per_pair)
@@ -493,7 +496,7 @@ def _emission_likelihoods(yt: np.ndarray, means: np.ndarray, stds: np.ndarray, r
     shift = b.max(axis=1)
     b -= shift[:, None]
     np.exp(b, out=b)
-    return b, shift, pair_of[rows]
+    return b, shift
 
 
 def _check_scales(c: np.ndarray) -> None:
@@ -559,10 +562,9 @@ class _Segments:
         self.yt = yt
         self.y = yt.reshape(count, span, n).transpose(1, 0, 2)
         self.n, self.span, self.count, self.last = n, span, count, span - pad
-        self._emissions = params.emissions.means, params.emissions.stds, live
-        # the pairs, the pair of each live state and the shift of a padded
-        # sample, 0
-        zero, zero_shift, self.pick = _emission_likelihoods(np.zeros((1, 1)), *self._emissions)
+        mu, sd, pair_of = _emission_pairs(params.emissions.means, params.emissions.stds)
+        self._pairs = mu, sd
+        self.pick = pair_of[live]
         # live states i in lo..hi-1 share pair q: the recursions weight each
         # such run by its pair's row, and no array takes a row per state
         edges = np.flatnonzero(np.diff(self.pick)) + 1
@@ -570,12 +572,11 @@ class _Segments:
             (lo, hi, self.pick[lo])
             for lo, hi in zip(np.r_[0, edges].tolist(), np.r_[edges, live.size].tolist())
         ]
-        self._block = max(1, _BLOCK_ELEMENTS // (zero.shape[1] * count * n))
-        self._pad_shift = pad * zero_shift[0, 0]
+        self._block = max(1, _BLOCK_ELEMENTS // (mu.size * count * n))
         self.shift = None
         self.b = None
         if stored:
-            b = np.empty((span, zero.shape[1], count * n))
+            b = np.empty((span, mu.size, count * n))
             for _ in self._blocks(b):
                 pass
             self.b = b
@@ -589,6 +590,7 @@ class _Segments:
     def _blocks(self, out=None):
         count, n, size = self.count, self.n, self._block
         total = None
+        pad_shift = 0.0
         for s0 in range(0, self.span, size):
             y = self.y[s0:s0 + size]
             if count == 1:
@@ -599,34 +601,46 @@ class _Segments:
                 y = np.array(y[:, 0], order="K")
             steps = y.shape[0]
             into = None if out is None else out[s0:s0 + steps].reshape((steps, -1) + y.shape[1:])
-            b, shift, _ = _emission_likelihoods(y, *self._emissions, out=into)
+            b, shift = _emission_likelihoods(y, *self._pairs, out=into)
             b = b.reshape(steps, -1, count * n)
+            shift = shift.reshape(steps, count * n)
             if s0 + steps > self.last:
                 b[max(self.last - s0, 0):, :, -n:] = 1.0
+                # the shifts of the padded steps, each that of a sample 0,
+                # come off the last segment's total
+                pad_shift = (self.span - self.last) * shift[-1, -1]
             # summed step by step, each block onto the total so far, as one
             # sum over every step would be
-            shift = shift.reshape(steps, count * n)
             if total is not None:
                 shift = np.concatenate((total[None], shift))
             total = shift.sum(axis=0)
             yield s0, b
         total = total.reshape(count, n)
-        total[-1] -= self._pad_shift
+        total[-1] -= pad_shift
         self.shift = total.sum(axis=0)
 
 
-def _carry(a_t: np.ndarray, x: np.ndarray, seg: _Segments, c: np.ndarray, out=None):
-    """The carried-state recursion of every pass, over the factors of ``seg``.
+def _carry(a_t: np.ndarray, x: np.ndarray, seg: _Segments, ends=(), out=None):
+    """The forward driver of every pass, over the factors of ``seg``.
 
-    x (k, w, 1 or cols) is step 0's state before its emission factor: w
+    x (k, w, 1 or L*n) is step 0's state before its emission factor: w
     state vectors per column. Step 0 weights it by b_0, and each later step
     propagates x by the one-step matrix and weights it by b_s / c_{s-1}, so
     the per-column normalisation of step s-1 rides on step s's emission
     factor, of its pair's row for each run of live states that share one
-    (``seg.runs``). c_s, the sum of x_s over its k * w entries, is written
-    to c (S, cols). Four numpy calls per step and one more per further run.
-    Yields (s, x_s); with ``out`` (S, k, w, cols) x_s is also kept there.
+    (``seg.runs``). c_s is the sum of x_s over its k * w entries. Four
+    numpy calls per step and one more per further run. With ``out``
+    (S, k, w, L*n) x_s is kept there. Returns (x_{S-1}, c (S, L*n),
+    {t: read}): a window end t + 1 in ``ends`` reads x_s summed over the
+    states, (w, n), at step s = t mod S in segment t // S.
     """
+    n, span = seg.n, seg.span
+    read_at = {}
+    for t in dict.fromkeys(e - 1 for e in ends):
+        l, s = divmod(t, span)
+        read_at.setdefault(s, []).append((t, l))
+    c = np.empty((span, seg.count * n))
+    reads = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         for s0, b in seg.factors():
             for i in range(b.shape[0]):
@@ -644,10 +658,12 @@ def _carry(a_t: np.ndarray, x: np.ndarray, seg: _Segments, c: np.ndarray, out=No
                     for lo, hi, q in seg.runs:
                         x[lo:hi] *= ratio[q]
                 x.reshape(k * w, cols).sum(axis=0, out=c[s])
-                yield s, x
+                for t, l in read_at.get(s, ()):
+                    reads[t] = x[:, :, l * n:(l + 1) * n].sum(axis=0)
+    return x, c, reads
 
 
-def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.ndarray, read_at,
+def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.ndarray, ends,
                    log_lik: bool):
     """Every segment's transfer matrix at once, then the stitch.
 
@@ -658,9 +674,9 @@ def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.nd
     Ryden 2005). The stitch U_l = P_l U_{l-1}, over the start states
     ``start``, gives J at the end of every segment in L small steps, as in
     the temporal parallelisation of Sarkka & Garcia-Fernandez (2021).
-    ``read_at`` maps a step s of the segments to the (t, l) read there: the
-    column sums 1^T P_l(t) (k, n) of segment l's partial transfer, which
-    turn U_{l-1} into the time-zero posterior of the window ending at t.
+    A window end t + 1 in ``ends`` is read as the column sums
+    1^T P_l(t) (k, n) of segment l's partial transfer, which turn U_{l-1}
+    into the time-zero posterior of that window.
 
     Returns (U (L, n, k, m), P (L, n, k, k), {t: reads}, and with
     ``log_lik`` the per-trace log-likelihood without the emission shift,
@@ -675,11 +691,7 @@ def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.nd
     first = np.empty((k, k, count))
     first[:, :, 0] = np.diag(pi)
     first[:, :, 1:] = a_t[:, :, None]
-    c = np.empty((seg.span, count * n))
-    reads = {}
-    for s, x in _carry(a_t, np.repeat(first, n, axis=2), seg, c):
-        for t, l in read_at.get(s, ()):
-            reads[t] = x[:, :, l * n:(l + 1) * n].sum(axis=0)
+    x, c, reads = _carry(a_t, np.repeat(first, n, axis=2), seg, ends)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.ascontiguousarray((x / c[-1]).reshape(k, k, count, n).transpose(2, 3, 0, 1))
         u = np.empty((count, n, k, start.size))
@@ -699,25 +711,6 @@ def _transfer_pass(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, start: np.nd
     return u, p, reads, log_lik
 
 
-def _segment_forward(seg: _Segments, pi: np.ndarray, a_t: np.ndarray, u: np.ndarray):
-    """Every segment's forward recursion at once, segment 0 from pi and
-    each later one from the stitched forward variable at its start (``u``,
-    :func:`_transfer_pass`). Returns (alphas (S + 1, k, L*n), c (S, L*n)):
-    slot s + 1 the forward variable of step s scaled to sum to c_s
-    (:func:`_carry`), slot 0 the normalised one each segment starts from
-    (zeros for segment 0)."""
-    k, n, count = pi.size, seg.n, seg.count
-    alphas = np.zeros((seg.span + 1, k, count * n))
-    alphas[0, :, n:] = u[:-1].sum(axis=3).transpose(2, 0, 1).reshape(k, (count - 1) * n)
-    prop = np.empty((k, count * n))
-    prop[:, :n] = pi[:, None]
-    prop[:, n:] = a_t @ alphas[0, :, n:]
-    c = np.empty((seg.span, count * n))
-    for _ in _carry(a_t, prop[:, None], seg, c, alphas[1:, :, None]):
-        pass
-    return alphas, c
-
-
 class _Forward(NamedTuple):
     """A trace chunk's forward pass (:func:`_run_chunk`)."""
 
@@ -727,6 +720,7 @@ class _Forward(NamedTuple):
     alphas: np.ndarray | None  # (S + 1, k, L*n) of a stored pass, for _smooth
     c: np.ndarray | None  # (S, L*n): alphas[s + 1] sums to c[s]
     p: np.ndarray | None  # (L, n, k, k) segment transfers, for L > 1
+    u: np.ndarray | None  # (L, n, k, m) the stitch, for L > 1
 
     def total_log_lik(self) -> float:
         """The chunk's log-likelihood, summed over its traces."""
@@ -734,7 +728,7 @@ class _Forward(NamedTuple):
 
 
 def _run_chunk(params: HmmParams, chain, y: np.ndarray, ends=(), log_lik: bool = False,
-               stored: bool = False):
+               stored: bool = False, count: int | None = None) -> _Forward:
     """The forward pass of the live ``chain`` = (live, pi, a) over one trace chunk y (n, T).
 
     Fixed-point smoothing (Cappe, Moulines & Ryden 2005): the joint forward
@@ -742,47 +736,34 @@ def _run_chunk(params: HmmParams, chain, y: np.ndarray, ends=(), log_lik: bool =
     over s to the time-zero posterior of the window ending at t, for each
     t + 1 in ``ends``. Only live states are carried (:func:`_live_states`),
     and start states with pi = 0 stay exactly zero and are not carried
-    either. The chunk runs as L time segments (:func:`_segment_count`),
-    whose transfers and stitch (:func:`_transfer_pass`) give J at each end;
-    a stored pass then runs every segment's forward recursion from the
-    stitch (:func:`_segment_forward`). If the stitch cannot be trusted, or
-    that recursion finds a scale not > 0, the chunk runs again with L = 1,
-    where the recursion carries J over the start states if ends are read,
-    else pi, and :func:`_check_scales` reports the first step at which a
-    likelihood vanished.
+    either. The chunk runs as L time segments (:func:`_segment_count`, or
+    ``count``), whose transfers and stitch (:func:`_transfer_pass`) give J
+    at each end. If the stitch cannot be trusted it runs with L = 1, where
+    the driver (:func:`_carry`) carries J over the start states if ends are
+    read, else pi, and :func:`_check_scales` reports the first step at
+    which a likelihood vanished.
 
-    Yields the chunk's :class:`_Forward`, with the per-trace
-    log-likelihood only if ``log_lik``, and with ``stored`` the emission
-    factors and forward variables that :func:`_smooth` reads. A stored
-    segmented pass is yielded first before its in-segment recursion, without
-    forward variables, so that a caller may stop there, and then with them.
+    Returns the chunk's :class:`_Forward`, with the per-trace log-likelihood
+    only if ``log_lik``; with ``stored``, the emission factors and, at
+    L = 1, the forward variables that :func:`_smooth` reads. A stored
+    segmented record gets them from :func:`_segment_forward`.
     """
     live, pi, a = chain
     k, start, a_t = live.size, np.flatnonzero(pi > 0.0), a.T
-    # segmented first; unsegmented if the segments cannot be trusted
-    for count in dict.fromkeys((_segment_count(k, *y.shape), 1)):
+    # segmented first; unsegmented if the stitch cannot be trusted
+    for count in dict.fromkeys((count or _segment_count(k, *y.shape), 1)):
         seg = _Segments(params, live, y, count, stored=stored)
-        read_at = {}
-        for t in dict.fromkeys(e - 1 for e in ends):
-            l, s = divmod(t, seg.span)
-            read_at.setdefault(s, []).append((t, l))
-        alphas = c = p = None
+        alphas = c = p = u = None
         if seg.count > 1:
-            stitched = _transfer_pass(seg, pi, a_t, start, read_at, log_lik)
+            stitched = _transfer_pass(seg, pi, a_t, start, ends, log_lik)
             if stitched is None:
                 continue
             u, p, reads, ll = stitched
         else:
-            # the per-trace normalisation of step t-1, over both s and
-            # s0, rides on step t's emission factor (_carry)
-            c = np.empty((seg.span, seg.n))
             if stored:
                 alphas = np.zeros((seg.span + 1, k, seg.n))
-            reads = {}
             x0 = np.diag(pi)[:, start, None] if ends else pi[:, None, None]
-            for s, x in _carry(a_t, x0, seg, c, None if alphas is None else alphas[1:, :, None]):
-                for t, _ in read_at.get(s, ()):
-                    reads[t] = x.sum(axis=0)
+            _, c, reads = _carry(a_t, x0, seg, ends, None if alphas is None else alphas[1:, :, None])
             _check_scales(c)
             # the scales are spent unless smoothing reads them: logs in place
             ll = np.log(c, out=None if stored else c).sum(axis=0) if log_lik else None
@@ -793,15 +774,31 @@ def _run_chunk(params: HmmParams, chain, y: np.ndarray, ends=(), log_lik: bool =
             if seg.count > 1:
                 g0 = g0[start] if l == 0 else np.einsum("in,nim->mn", g0, u[l - 1])
             post[i][:, live[start]] = (g0 / g0.sum(axis=0)).T
-        fwd = _Forward(seg, post, ll, alphas, c if stored else None, p)
-        if stored and seg.count > 1:
-            yield fwd
-            alphas, c = _segment_forward(seg, pi, a_t, u)
-            if not np.all(c > 0.0):
-                continue
-            fwd = fwd._replace(alphas=alphas, c=c)
-        yield fwd
-        return
+        return _Forward(seg, post, ll, alphas, c if stored else None, p, u)
+
+
+def _segment_forward(params: HmmParams, chain, y: np.ndarray, fwd: _Forward) -> _Forward:
+    """The stored record ``fwd`` of chunk y (:func:`_run_chunk`) with its
+    forward variables: at L > 1 every segment's forward recursion at once,
+    segment 0 from pi and each later one from the stitch (``fwd.u``).
+    alphas (S + 1, k, L*n) holds in slot s + 1 the forward variable of step
+    s scaled to sum to c_s (:func:`_carry`), in slot 0 the normalised one
+    each segment starts from (zeros for segment 0). If a scale is not > 0
+    the chunk runs again with L = 1."""
+    seg = fwd.seg
+    if seg.count == 1:
+        return fwd
+    _, pi, a = chain
+    k, n, count = pi.size, seg.n, seg.count
+    alphas = np.zeros((seg.span + 1, k, count * n))
+    alphas[0, :, n:] = fwd.u[:-1].sum(axis=3).transpose(2, 0, 1).reshape(k, (count - 1) * n)
+    prop = np.empty((k, count * n))
+    prop[:, :n] = pi[:, None]
+    prop[:, n:] = a.T @ alphas[0, :, n:]
+    c = _carry(a.T, prop[:, None], seg, out=alphas[1:, :, None])[1]
+    if not np.all(c > 0.0):
+        return _run_chunk(params, chain, y, log_lik=fwd.log_lik is not None, stored=True, count=1)
+    return fwd._replace(alphas=alphas, c=c)
 
 
 def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
@@ -867,9 +864,8 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     n_window = _window_samples(trace.dt, trace.samples.size, t_read)
     chain = _live_chain(params.pi, params.a)
     live, _, a = chain
-    run = _run_chunk(params, chain, trace.samples[np.newaxis, :n_window], log_lik=True, stored=True)
-    fwd = next(run)
-    fwd = next(run, fwd)
+    y = trace.samples[np.newaxis, :n_window]
+    fwd = _segment_forward(params, chain, y, _run_chunk(params, chain, y, log_lik=True, stored=True))
     gamma = _smooth(a, fwd, xi=False)[0][:n_window, :, 0]
     probs = np.zeros((n_window, N_STATES))
     probs[:, live] = gamma / gamma.sum(axis=1, keepdims=True)
@@ -894,14 +890,8 @@ def start_posterior_batch(params: HmmParams, samples: np.ndarray):
     backward pass is run and only O(chunk * n_samples) memory is used.
     """
     y = _sample_matrix(samples)
-    chain = _live_chain(params.pi, params.a)
-    gamma0 = np.zeros((y.shape[0], N_STATES))
-    log_lik = np.empty(y.shape[0])
-    for sl in _trace_chunks(*y.shape):
-        fwd = next(_run_chunk(params, chain, y[sl], [y.shape[1]], log_lik=True))
-        gamma0[sl] = fwd.posteriors[0]
-        log_lik[sl] = fwd.log_lik + fwd.seg.shift
-    return gamma0, log_lik
+    gamma0, log_lik = _start_posteriors(params, y, [y.shape[1]], log_lik=True)
+    return gamma0[0], log_lik
 
 
 def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> np.ndarray:
@@ -916,12 +906,22 @@ def start_posteriors_at(params: HmmParams, samples: np.ndarray, window_ends) -> 
     ends = [int(e) for e in window_ends]
     if not ends or min(ends) < 1 or max(ends) > y.shape[1]:
         raise ValueError("window ends must be non-empty and within 1..n_samples")
+    return _start_posteriors(params, y, ends)[0]
+
+
+def _start_posteriors(params: HmmParams, y: np.ndarray, ends, log_lik: bool = False):
+    """The time-zero posteriors (len(ends), n, 6) of the rows of y, one chunk at
+    a time, and with ``log_lik`` the per-trace log-likelihood, else None."""
     chain = _live_chain(params.pi, params.a)
     t_len = max(ends)
     out = np.zeros((len(ends), y.shape[0], N_STATES))
+    ll = np.empty(y.shape[0]) if log_lik else None
     for sl in _trace_chunks(y.shape[0], t_len):
-        out[:, sl] = next(_run_chunk(params, chain, y[sl, :t_len], ends)).posteriors
-    return out
+        fwd = _run_chunk(params, chain, y[sl, :t_len], ends, log_lik)
+        out[:, sl] = fwd.posteriors
+        if log_lik:
+            ll[sl] = fwd.log_lik + fwd.seg.shift
+    return out, ll
 
 
 def brute_force_posterior(params: HmmParams, trace: Trace) -> Posterior:
@@ -976,7 +976,7 @@ def log_likelihood(params: HmmParams, batch: TraceBatch) -> float:
     chain = _live_chain(params.pi, params.a)
     total = 0.0
     for sl in _trace_chunks(batch.n_traces, batch.n_samples):
-        total += next(_run_chunk(params, chain, batch.samples[sl], log_lik=True)).total_log_lik()
+        total += _run_chunk(params, chain, batch.samples[sl], log_lik=True).total_log_lik()
     return total
 
 
@@ -1141,18 +1141,17 @@ def em_fit(
         stats = []
         ll_total = 0.0
         for i, y in enumerate(chunks, 1):
-            run = _run_chunk(params, chain, y, log_lik=True, stored=True)
-            fwd = next(run)
+            fwd = _run_chunk(params, chain, y, log_lik=True, stored=True)
             ll_total += fwd.total_log_lik()
             # the last chunk's in-segment forward pass waits for the
             # convergence test
             if i < len(chunks):
-                stats.append(_smoothed_statistics(a_live, next(run, fwd), centres))
+                stats.append(_smoothed_statistics(a_live, _segment_forward(params, chain, y, fwd), centres))
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
             converged = True
             break
-        stats.append(_smoothed_statistics(a_live, next(run, fwd), centres))
+        stats.append(_smoothed_statistics(a_live, _segment_forward(params, chain, y, fwd), centres))
         pi_sum, xi_sum, moments = (sum(parts) for parts in zip(*stats))
 
         # back to all six states; the others have no mass. xi entries lack

@@ -816,12 +816,14 @@ class TestEmissionLikelihoods:
     def test_bit_identical_to_per_state_formula(self, means, stds, rows):
         means, stds, rows = np.array(means), np.array(stds), np.array(rows)
         yt = np.random.default_rng(66).uniform(-1.5, 2.5, (40, 7))
-        b, shift, pick = markov._emission_likelihoods(yt, means, stds, rows)
+        mu, sd, pair_of = markov._emission_pairs(means, stds)
+        b, shift = markov._emission_likelihoods(yt, mu, sd)
+        pick = pair_of[rows]
         b_ref, shift_ref = _per_state_emissions(yt, means, stds)
         # one row per distinct (mean, std) pair, whichever rows are live
         assert b.shape == (40, len(set(zip(means, stds))), 7)
         np.testing.assert_array_equal(np.take(b, pick, axis=1), b_ref[:, rows])
-        every = markov._emission_likelihoods(yt[:1], means, stds, np.arange(N_STATES))[2]
+        every = pair_of
         np.testing.assert_array_equal(np.take(b, every, axis=1), b_ref)
         np.testing.assert_array_equal(shift, shift_ref)
 
@@ -1107,7 +1109,7 @@ class TestEmSmoothing:
 
         def counted(*args):
             # the in-segment forward pass of a segmented chunk
-            calls.append(args[0].count > 1)
+            calls.append(args[3].seg.count > 1)
             return stored(*args)
 
         monkeypatch.setattr(markov, "_segment_forward", counted)

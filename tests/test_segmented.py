@@ -70,8 +70,9 @@ def _ref_smoothed_statistics(a, yt, b, alphas, c, centres):
 def _state_factors(params, yt, live):
     """The emission factors (T, k, n) of the live states, one row per
     state, and their per-trace shift summed over the steps."""
-    b, shift, pick = markov._emission_likelihoods(yt, params.emissions.means, params.emissions.stds, live)
-    return np.take(b, pick, axis=1), shift.sum(axis=0)
+    mu, sd, pair_of = markov._emission_pairs(params.emissions.means, params.emissions.stds)
+    b, shift = markov._emission_likelihoods(yt, mu, sd)
+    return np.take(b, pair_of[live], axis=1), shift.sum(axis=0)
 
 
 def _ref_chunk(params, y):
@@ -188,10 +189,9 @@ def test_smoothed_statistics(name, segmenting):
     live, _, a = chain
     centres = params.emissions.means[live] + 0.01
     expected = _ref_smoothed_statistics(a, yt, b, alphas, c, centres)[:3]
-    run = markov._run_chunk(params, chain, y, log_lik=True, stored=True)
-    fwd = next(run)
+    fwd = markov._run_chunk(params, chain, y, log_lik=True, stored=True)
     np.testing.assert_allclose(fwd.total_log_lik(), ll.sum(), **RTOL)
-    got = markov._smoothed_statistics(a, next(run, fwd), centres)
+    got = markov._smoothed_statistics(a, markov._segment_forward(params, chain, y, fwd), centres)
     for g, e in zip(got, expected):
         np.testing.assert_allclose(g, e, **RTOL)
 
@@ -387,16 +387,19 @@ def test_vanishing_in_segment_scale_runs_unsegmented(monkeypatch, entry):
     params, y = _case("switching_tied_padded")
     count = _segments_of(params, y[:1] if entry == "forward_backward" else y).count
     assert count > 1
-    in_segment = markov._segment_forward
+    carry = markov._carry
 
-    def zeroed(*args):
-        alphas, c = in_segment(*args)
-        c[1, 0] = 0.0
-        return alphas, c
+    def zeroed(a_t, x, seg, ends=(), out=None):
+        # the in-segment forward pass is the segmented one that keeps its
+        # forward variables
+        x, c, reads = carry(a_t, x, seg, ends, out)
+        if seg.count > 1 and out is not None:
+            c[1, 0] = 0.0
+        return x, c, reads
 
     batch = sr.TraceBatch(dt=params.dt, samples=y)
     stitched = sr.log_likelihood(params, batch)
-    monkeypatch.setattr(markov, "_segment_forward", zeroed)
+    monkeypatch.setattr(markov, "_carry", zeroed)
     calls = _count_segments(monkeypatch)
     if entry == "forward_backward":
         _check_forward_backward(params, y)
