@@ -367,19 +367,6 @@ def test_underflowing_stitch_runs_unsegmented(monkeypatch, entry):
     assert calls == [count, 1] * n_passes
 
 
-def _count_segments(monkeypatch):
-    calls = []
-    segments = markov._Segments
-
-    def counted(*args, **kwargs):
-        seg = segments(*args, **kwargs)
-        calls.append(seg.count)
-        return seg
-
-    monkeypatch.setattr(markov, "_Segments", counted)
-    return calls
-
-
 @pytest.mark.parametrize("entry", ["forward_backward", "em_fit"])
 def test_vanishing_in_segment_scale_runs_unsegmented(monkeypatch, entry):
     # a scale of the in-segment forward pass set to 0 sends the stored
@@ -400,7 +387,15 @@ def test_vanishing_in_segment_scale_runs_unsegmented(monkeypatch, entry):
     batch = sr.TraceBatch(dt=params.dt, samples=y)
     stitched = sr.log_likelihood(params, batch)
     monkeypatch.setattr(markov, "_carry", zeroed)
-    calls = _count_segments(monkeypatch)
+    calls = []
+    segments = markov._Segments
+
+    def counted(*args, **kwargs):
+        seg = segments(*args, **kwargs)
+        calls.append(seg.count)
+        return seg
+
+    monkeypatch.setattr(markov, "_Segments", counted)
     if entry == "forward_backward":
         _check_forward_backward(params, y)
         assert calls == [count, 1] * 3
