@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -30,7 +29,10 @@ from .physics import SensorParams, delta_c_drt
 from .pipeline import (
     IqBatch,
     TraceBundle,
-    _atomic_write_text,
+    _json_text,
+    _read_csv_columns,
+    _write_csv,
+    _write_json,
     build_histogram,
     drift_correct,
     iq_project,
@@ -202,54 +204,11 @@ def _density_from_config(obj: dict) -> DensityParams:
         raise ConfigError(f"invalid density parameter block: {exc}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(out_dir: str, config: dict, header: list[str], rows) -> str:
-    """Write ``<out_dir>/<output>.csv`` atomically; returns its path."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path = os.path.join(out_dir, config["output"] + ".csv")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
-
-
-def _write_json(out_dir: str, config: dict, payload: dict) -> str:
-    """Write ``<out_dir>/<output>.json`` atomically; returns its path."""
-    path = os.path.join(out_dir, config["output"] + ".json")
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
-    """Rows of finite numbers, all of one length; only the first line may be a header."""
-    rows = []
-    with open(path) as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not a UTF-8 text CSV file (byte {exc.start}: {exc.reason})") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise ConfigError(f"{path} line {lineno} is not numeric: {line!r}") from None
-        if (rows and len(row) != len(rows[0])) or not all(map(math.isfinite, row)):
-            raise ConfigError(f"{path} line {lineno} is not a full row of finite numbers")
-        rows.append(row)
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] < min_cols:
-        raise ConfigError(f"{path} must have at least {min_cols} numeric columns")
-    return data
+def _read_times(config: dict) -> list[float]:
+    times = config["t_read_s_list"]
+    if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in times):
+        raise ConfigError(f"t_read_s_list entries must be numbers, got {times!r}")
+    return [float(t) for t in times]
 
 
 _SWEEP_HEADER = [
@@ -258,7 +217,7 @@ _SWEEP_HEADER = [
 ]
 
 
-def _cmd_simulate(config, seed, out_dir):
+def _cmd_simulate(config, seed, prefix):
     if seed is None:
         raise ConfigError("simulate requires an explicit seed (--seed or config)")
     n_bg = config["background_samples"]
@@ -276,7 +235,6 @@ def _cmd_simulate(config, seed, out_dir):
     bundle = TraceBundle.from_batch(batch, v0=config["v0"])
     if config["drift_per_trace"] != 0.0:
         bundle = with_linear_drift(bundle, config["drift_per_trace"])
-    prefix = os.path.join(out_dir, config["output"])
     outputs = list(bundle.save(prefix))
     results = {
         "n_traces": batch.n_traces,
@@ -288,15 +246,14 @@ def _cmd_simulate(config, seed, out_dir):
     return results, outputs
 
 
-def _cmd_preprocess(config, seed, out_dir):
+def _cmd_preprocess(config, seed, prefix):
     bundle = _require_bundle(config["input"])
     corrected = drift_correct(bundle, window=config["window"])
-    prefix = os.path.join(out_dir, config["output"])
     outputs = list(corrected.save(prefix))
     return {"window": config["window"], "corrected": True}, outputs
 
 
-def _sweep_common(config, t_read_values, out_dir):
+def _sweep_common(config, t_read_values, prefix):
     """(reports, path of the CSV written from them)."""
     bundle = _require_bundle(config["input"])
     params = _hmm_from_config(config["hmm"])
@@ -308,11 +265,11 @@ def _sweep_common(config, t_read_values, out_dir):
          *(rep.recall_per_state[map_basis(s, basis)] for s in SpinState), rep.n_traces]
         for rep in reports
     ]
-    return reports, _write_csv(out_dir, config, _SWEEP_HEADER, rows)
+    return reports, _write_csv(prefix + ".csv", _SWEEP_HEADER, rows)
 
 
-def _cmd_classify(config, seed, out_dir):
-    reports, csv_path = _sweep_common(config, [config["t_read_s"]], out_dir)
+def _cmd_classify(config, seed, prefix):
+    reports, csv_path = _sweep_common(config, [config["t_read_s"]], prefix)
     rep = reports[0]
     results = {
         "f_m": rep.f_m,
@@ -325,9 +282,8 @@ def _cmd_classify(config, seed, out_dir):
     return results, [csv_path]
 
 
-def _cmd_sweep(config, seed, out_dir):
-    t_reads = [float(t) for t in config["t_read_s_list"]]
-    reports, csv_path = _sweep_common(config, t_reads, out_dir)
+def _cmd_sweep(config, seed, prefix):
+    reports, csv_path = _sweep_common(config, _read_times(config), prefix)
     results = {
         "n_points": len(reports),
         "f_m": [r.f_m for r in reports],
@@ -336,7 +292,7 @@ def _cmd_sweep(config, seed, out_dir):
     return results, [csv_path]
 
 
-def _cmd_fit_hmm(config, seed, out_dir):
+def _cmd_fit_hmm(config, seed, prefix):
     bundle = _require_bundle(config["input"])
     init = _hmm_from_config(config["init"])
     batch = bundle.to_batch()
@@ -353,19 +309,19 @@ def _cmd_fit_hmm(config, seed, out_dir):
         "hmm": fit.params.to_dict(),
         "converged": fit.converged,
         "n_iterations": fit.n_iterations,
-        "log_likelihoods": [float(v) for v in fit.log_likelihoods],
+        "log_likelihoods": fit.log_likelihoods,
         "final_log_likelihood": fit.final_log_likelihood,
         "variance_floored": fit.variance_floored,
-        "iteration_seconds": [float(v) for v in fit.iteration_seconds],
+        "iteration_seconds": fit.iteration_seconds,
     }
-    path = _write_json(out_dir, config, payload)
+    path = _write_json(prefix + ".json", payload)
     results = {"converged": fit.converged, "n_iterations": fit.n_iterations}
     if not fit.converged:
         raise NonConvergenceError("EM did not converge", results, [path])
     return results, [path]
 
 
-def _cmd_fit_histogram(config, seed, out_dir):
+def _cmd_fit_histogram(config, seed, prefix):
     data = _read_csv_columns(config["input_csv"], 2)
     init = _density_from_config(config["init"])
     params, fit = fit_histogram(data[:, 0], data[:, 1], float(config["t_s"]), config["mode"], init)
@@ -378,22 +334,22 @@ def _cmd_fit_histogram(config, seed, out_dir):
             "p_s": params.p_s, "p_t0": params.p_t0, "p_tm": params.p_tm,
         },
         "fit": {
-            "params": [float(v) for v in fit.params],
-            "sigmas": [float(v) for v in fit.sigmas],
+            "params": fit.params,
+            "sigmas": fit.sigmas,
             "residual_norm": fit.residual_norm,
             "n_iterations": fit.n_iterations,
             "converged": fit.converged,
             "status": fit.status,
         },
     }
-    path = _write_json(out_dir, config, payload)
+    path = _write_json(prefix + ".json", payload)
     results = {"converged": fit.converged, "residual_norm": fit.residual_norm}
     if not fit.converged:
         raise NonConvergenceError("histogram fit did not converge", results, [path])
     return results, [path]
 
 
-def _cmd_fit_physics(config, seed, out_dir):
+def _cmd_fit_physics(config, seed, prefix):
     try:
         model = get_model(config["model"])
     except KeyError as exc:
@@ -404,20 +360,20 @@ def _cmd_fit_physics(config, seed, out_dir):
     payload = {
         "model": model.model_id,
         "param_names": list(model.param_names),
-        "params": [float(v) for v in fit.params],
-        "sigmas": [float(v) for v in fit.sigmas],
+        "params": fit.params,
+        "sigmas": fit.sigmas,
         "residual_norm": fit.residual_norm,
         "converged": fit.converged,
         "status": fit.status,
     }
-    path = _write_json(out_dir, config, payload)
+    path = _write_json(prefix + ".json", payload)
     results = {"converged": fit.converged, "residual_norm": fit.residual_norm}
     if not fit.converged:
         raise NonConvergenceError("physics fit did not converge", results, [path])
     return results, [path]
 
 
-def _cmd_snr(config, seed, out_dir):
+def _cmd_snr(config, seed, prefix):
     mode = config["mode"]
     if mode == "iq":
         if not config["input_csv"]:
@@ -428,17 +384,17 @@ def _cmd_snr(config, seed, out_dir):
             "delta_v": proj.delta_v,
             "sigma": proj.sigma,
             "snr": proj.snr,
-            "means": [[float(v) for v in m] for m in proj.means],
-            "weights": [float(w) for w in proj.weights],
+            "means": proj.means,
+            "weights": proj.weights,
         }
-        return {"snr": proj.snr}, [_write_json(out_dir, config, payload)]
+        return {"snr": proj.snr}, [_write_json(prefix + ".json", payload)]
     if mode == "scaling":
         if not config["input"] or not config["t_read_s_list"]:
             raise ConfigError("snr mode 'scaling' requires input and t_read_s_list")
         bundle = _require_bundle(config["input"])
-        res = noise_scaling(bundle, [float(t) for t in config["t_read_s_list"]])
+        res = noise_scaling(bundle, _read_times(config))
         rows = zip(res.t_read, res.inv_snr)
-        csv_path = _write_csv(out_dir, config, ["t_read_s", "inv_snr"], rows)
+        csv_path = _write_csv(prefix + ".csv", ["t_read_s", "inv_snr"], rows)
         results = {
             "fitted": res.fitted,
             "slope": res.slope,
@@ -450,7 +406,7 @@ def _cmd_snr(config, seed, out_dir):
     raise ConfigError("snr mode must be 'iq' or 'scaling'")
 
 
-def _cmd_emit(config, seed, out_dir):
+def _cmd_emit(config, seed, prefix):
     family = config["family"]
     if family == "capacitance":
         for key in ("alpha_drt", "t_electron_k", "f_rf_hz"):
@@ -461,7 +417,7 @@ def _cmd_emit(config, seed, out_dir):
             [g, delta_c_drt(SensorParams(config["alpha_drt"], config["t_electron_k"], config["f_rf_hz"], g))]
             for g in gammas
         ]
-        path = _write_csv(out_dir, config, ["gamma_hz", "delta_c_f"], rows)
+        path = _write_csv(prefix + ".csv", ["gamma_hz", "delta_c_f"], rows)
         return {"n_points": len(rows)}, [path]
     if family == "histogram":
         if config["input"] is None or config["t_read_s"] is None:
@@ -471,20 +427,16 @@ def _cmd_emit(config, seed, out_dir):
         centers, counts = build_histogram(avgs, config["bins"])
         width = centers[1] - centers[0]
         total = counts.sum()
-        cols_two = np.full(centers.size, np.nan)
-        cols_three = np.full(centers.size, np.nan)
-        if config["two_state"]:
-            p2 = _density_from_config(config["two_state"])
-            cols_two = combined_density(centers, config["t_read_s"], p2, "two_state") * total * width
-        if config["three_state"]:
-            p3 = _density_from_config(config["three_state"])
-            cols_three = combined_density(centers, config["t_read_s"], p3, "three_state") * total * width
-        rows = [
-            [c, int(n), d2, d3]
-            for c, n, d2, d3 in zip(centers, counts, cols_two, cols_three)
-        ]
+        columns = []
+        for mode in ("two_state", "three_state"):
+            column = np.full(centers.size, np.nan)
+            if config[mode]:
+                params = _density_from_config(config[mode])
+                column = combined_density(centers, config["t_read_s"], params, mode) * total * width
+            columns.append(column)
+        rows = [[c, int(n), d2, d3] for c, n, d2, d3 in zip(centers, counts, *columns)]
         header = ["bin_center", "count", "density_two_state", "density_three_state"]
-        path = _write_csv(out_dir, config, header, rows)
+        path = _write_csv(prefix + ".csv", header, rows)
         return {"bins": int(centers.size)}, [path]
     raise ConfigError("emit family must be 'capacitance' or 'histogram'")
 
@@ -554,7 +506,8 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
             raise ConfigError("--out must name a directory") from None
-        results, outputs = _COMMANDS[args.command](config, seed, args.out)
+        prefix = os.path.join(args.out, config["output"])
+        results, outputs = _COMMANDS[args.command](config, seed, prefix)
         report["results"] = results
         report["outputs"] = outputs
         code = EXIT_OK
@@ -577,18 +530,8 @@ def main(argv=None) -> int:
         report["error"] = str(exc)
         code = EXIT_NON_CONVERGENCE
     report["wall_clock_s"] = time.monotonic() - started
-    print(json.dumps(report, indent=2, default=_json_default))
+    print(_json_text(report), end="")
     return code
-
-
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 if __name__ == "__main__":

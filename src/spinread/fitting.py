@@ -221,8 +221,9 @@ def fit_model(
 ) -> FitResult:
     """Weighted least-squares fit of a registered model to (x, y) data.
 
-    ``weights`` are inverse variances (unit weights by default; use
-    :func:`poisson_weights` for count data). Non-convergence within
+    ``init`` holds one value per model parameter. ``weights`` are inverse
+    variances (unit weights by default; use :func:`poisson_weights` for
+    count data). Non-convergence within
     ``max_iterations`` returns a result with ``converged=False``; a
     singular Jacobian is reported through ``status``.
     """
@@ -234,6 +235,11 @@ def fit_model(
         raise ValueError("x and y must have the same length")
     if x.size < model.n_params:
         raise ValueError("need at least as many points as parameters")
+    if np.shape(init) != (model.n_params,):
+        raise ValueError(
+            f"model {model.model_id!r} takes {model.n_params} parameters "
+            f"({', '.join(model.param_names)}), init has {np.size(init)}"
+        )
     if weights is None:
         sqrt_w = np.ones_like(y)
     else:

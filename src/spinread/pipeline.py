@@ -4,8 +4,14 @@ On-disk format: ``<name>.manifest.json`` (metadata, full-precision floats)
 plus ``<name>.f64`` holding the sample matrix as little-endian float64,
 row-major, one trace per row. The first ``background_samples`` columns of
 each row are the pre-measurement background segment declared in the
-manifest. CSV interchange writes one trace per row with a header row
-carrying dt.
+manifest. CSV interchange writes the readout, one trace per row, under a
+``dt,<value>`` header row.
+
+Every text file goes through one function of each kind here:
+:func:`_read_csv_columns` reads a numeric CSV (line 1 is a header only
+when its first field is not a number), :func:`_write_csv` writes one and
+:func:`_write_json` writes a JSON file, each through
+:func:`_atomic_write_text`.
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ class TraceBundle:
         manifest_path = f"{prefix}.manifest.json"
         data_path = f"{prefix}.f64"
         _atomic_write_bytes(data_path, np.ascontiguousarray(self.data, dtype="<f8"))
-        _atomic_write_text(manifest_path, json.dumps(vars(self.manifest), indent=2) + "\n")
+        _write_json(manifest_path, vars(self.manifest))
         return manifest_path, data_path
 
     @classmethod
@@ -118,22 +124,17 @@ class TraceBundle:
         return cls(manifest, raw.reshape(manifest.n_traces, cols))
 
     def to_csv(self, path: str) -> None:
-        lines = [f"dt,{self.manifest.dt!r}"]
-        for row in self.data:
-            lines.append(",".join(repr(float(v)) for v in row))
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        """Write the readout, one trace per row, under a ``dt,<value>`` header."""
+        _write_csv(path, ["dt", repr(self.manifest.dt)], self.readout)
 
     @classmethod
     def from_csv(cls, path: str) -> "TraceBundle":
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            if len(header) != 2 or header[0] != "dt":
-                raise ValueError("CSV must start with a 'dt,<value>' header row")
-            dt = float(header[1])
-            rows = [
-                np.array(line.strip().split(","), dtype=float) for line in fh if line.strip()
-            ]
-        data = np.vstack(rows)
+        if len(header) != 2 or header[0] != "dt":
+            raise ValueError("CSV must start with a 'dt,<value>' header row")
+        dt = float(header[1])
+        data = _read_csv_columns(path, 1)
         manifest = BundleManifest(dt=dt, n_traces=data.shape[0], n_samples=data.shape[1])
         return cls(manifest, data)
 
@@ -158,6 +159,77 @@ def _atomic_write_bytes(path: str, payload) -> None:
 
 def _atomic_write_text(path: str, payload: str) -> None:
     _atomic_write_bytes(path, payload.encode())
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _write_csv(path: str, header: list[str], rows) -> str:
+    """Write ``header`` and ``rows`` to ``path`` atomically, one line each:
+    strings as they are, integers in decimal, other numbers as the repr of
+    a float (full precision); returns ``path``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    _atomic_write_text(path, "\n".join(lines) + "\n")
+    return path
+
+
+def _json_text(payload: dict) -> str:
+    """``payload`` as JSON indented by two, ending in a newline; numpy
+    scalars and arrays become numbers and lists."""
+    return json.dumps(payload, indent=2, default=_json_default) + "\n"
+
+
+def _json_default(value):
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"not JSON serializable: {type(value)}")
+
+
+def _write_json(path: str, payload: dict) -> str:
+    """Write ``payload`` to ``path`` atomically as :func:`_json_text`; returns ``path``."""
+    _atomic_write_text(path, _json_text(payload))
+    return path
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
+    """Rows of finite numbers, all of one length; only the first line may be
+    a header, and only when its first field is not a number."""
+    rows = []
+    with open(path) as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not a UTF-8 text CSV file (byte {exc.start}: {exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            if lineno == 1 and not _is_number(line.split(",", 1)[0]):
+                continue  # header row
+            raise ValueError(f"{path} line {lineno} is not numeric: {line!r}") from None
+        if (rows and len(row) != len(rows[0])) or not all(map(math.isfinite, row)):
+            raise ValueError(f"{path} line {lineno} is not a full row of finite numbers")
+        rows.append(row)
+    data = np.asarray(rows, dtype=float)
+    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] < min_cols:
+        raise ValueError(f"{path} must have at least {min_cols} numeric columns")
+    return data
 
 
 def drift_correct(bundle: TraceBundle, window: int = 50) -> TraceBundle:

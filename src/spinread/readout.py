@@ -22,6 +22,7 @@ from .markov import (
     Trace,
     TraceBatch,
     _check_dt,
+    _spin_codes,
     _window_samples,
     start_posterior_batch,
     start_posteriors_at,
@@ -50,8 +51,8 @@ _SPIN_TO_BASIS_CODE = {
 
 
 def map_basis(label, basis: ReadoutBasis) -> str:
-    """Map a spin label onto a readout-basis label."""
-    return BASIS_LABELS[basis][_SPIN_TO_BASIS_CODE[basis][SpinState(int(label))]]
+    """Map a spin label (an integer spin code) onto a readout-basis label."""
+    return BASIS_LABELS[basis][_SPIN_TO_BASIS_CODE[basis][_spin_codes([label], 1)[0]]]
 
 
 def window_average(trace: Trace, t_read: float) -> float:
@@ -137,7 +138,7 @@ def hmm_classify(params: HmmParams, trace: Trace, t_read: float | None = None) -
     one_row = TraceBatch(trace.dt, trace.samples[np.newaxis])
     labels, post, ties = hmm_classify_batch(params, one_row, t_read)
     return HmmClassification(
-        spin=SpinState(int(labels[0])), spin_posterior=post[0], tie=bool(ties[0])
+        spin=SpinState(labels[0]), spin_posterior=post[0], tie=bool(ties[0])
     )
 
 
@@ -184,21 +185,19 @@ class MetricReport:
 
 
 def _basis_codes(values, basis: ReadoutBasis) -> np.ndarray:
-    """Indices into ``BASIS_LABELS[basis]`` of spin labels or basis-label strings."""
-    values = np.asarray(values)
+    """Indices into ``BASIS_LABELS[basis]`` of a 1-D sequence of basis-label
+    strings or of spin labels, which must be integer spin codes
+    (:func:`markov._spin_codes`)."""
+    array = np.asarray(values)
     labels = BASIS_LABELS[basis]
-    if values.dtype.kind in "US":
-        codes = np.full(values.shape, -1)
+    if array.dtype.kind in "US":
+        codes = np.full(array.shape, -1)
         for i, lab in enumerate(labels):
-            codes[values == lab] = i
+            codes[array == lab] = i
         if np.any(codes < 0):
-            raise ValueError(f"label {str(values[codes < 0][0])!r} not in basis {basis.value}")
+            raise ValueError(f"label {str(array[codes < 0][0])!r} not in basis {basis.value}")
         return codes
-    spins = values.astype(int)
-    bad = (spins < 0) | (spins >= len(SpinState))
-    if np.any(bad):
-        SpinState(int(spins[bad][0]))  # raises the ValueError naming the label
-    return _SPIN_TO_BASIS_CODE[basis][spins]
+    return _SPIN_TO_BASIS_CODE[basis][_spin_codes(values, len(values))]
 
 
 def confusion_metrics(truth, predicted, basis: ReadoutBasis, t_read: float | None = None) -> MetricReport:
@@ -208,10 +207,10 @@ def confusion_metrics(truth, predicted, basis: ReadoutBasis, t_read: float | Non
     total number of predictions; mean fidelity averages the per-state
     values; visibility is the overall fraction of correct classifications.
     """
+    if np.shape(truth) != np.shape(predicted) or np.ndim(truth) != 1 or len(truth) == 0:
+        raise ValueError("truth and predicted must be equal-length and non-empty")
     truth = _basis_codes(truth, basis)
     predicted = _basis_codes(predicted, basis)
-    if truth.shape != predicted.shape or truth.ndim != 1 or truth.size == 0:
-        raise ValueError("truth and predicted must be equal-length and non-empty")
     labels = BASIS_LABELS[basis]
     k = len(labels)
     counts = np.bincount(k * truth + predicted, minlength=k * k).reshape(k, k)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from spinread import cli
+from spinread.analytic import DensityParams, combined_density
 from spinread.cli import main
 from spinread.constants import E_CHARGE, HBAR
+from spinread.fitting import STATUS_MAX_ITERATIONS, STATUS_SINGULAR_JACOBIAN, fit_model, get_model
 from spinread.markov import HmmParams, log_likelihood
 from spinread.pipeline import TraceBundle, build_histogram
 from spinread.readout import _window_means, window_average
@@ -398,6 +400,76 @@ class TestFitCommands:
         assert report is None
         assert "line 6" in err
 
+    @pytest.mark.parametrize("first", ["1.0,2.O", "0.1,y"])
+    def test_partly_numeric_first_line_is_config_error(self, tmp_path, capsys, first):
+        # a first line whose first field is a number is data, not a header
+        rows = [f"{float(x)!r},{float(x) ** 2!r}" for x in np.linspace(0.1, 1.0, 10)]
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join([first] + rows) + "\n")
+        config = _write_config(tmp_path, "fit.json", {
+            "model": "thermometry", "input_csv": str(path), "init": [0.3, 0.05], "output": "fit",
+        })
+        code, report, err = _run(capsys, ["fit-physics", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert report is None
+        assert err.splitlines() == [f"config error: {path} line 1 is not numeric: {first!r}"]
+
+    @staticmethod
+    def _thermometry_csv(path, weights=None):
+        """(x, y) of a noisy thermometry curve written to ``path``, with
+        ``weights`` as a third column when given."""
+        rng = np.random.default_rng(12)
+        x = np.linspace(0.01, 0.4, 25)
+        y = get_model("thermometry")(x, np.array([0.17, 0.090])) * (1 + 0.02 * rng.standard_normal(25))
+        columns = [x, y] if weights is None else [x, y, weights]
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns)))
+        return x, y
+
+    @pytest.mark.parametrize("init", [[0.17], [0.17, 0.090, 1.0]])
+    def test_fit_physics_init_of_the_wrong_length_exits_2(self, tmp_path, capsys, init):
+        self._thermometry_csv(tmp_path / "t.csv")
+        config = _write_config(tmp_path, "cfg.json", {
+            "model": "thermometry", "input_csv": str(tmp_path / "t.csv"), "init": init, "output": "fit",
+        })
+        code, report, err = _run(capsys, ["fit-physics", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert report is None
+        assert err.splitlines() == [
+            f"config error: model 'thermometry' takes 2 parameters (alpha, t_e), init has {len(init)}"
+        ]
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_fit_physics_weights_column_weights_the_fit(self, tmp_path, capsys):
+        weights = np.random.default_rng(13).uniform(0.1, 10.0, 25)
+        x, y = self._thermometry_csv(tmp_path / "t.csv", weights)
+        config = _write_config(tmp_path, "fit.json", {
+            "model": "thermometry", "input_csv": str(tmp_path / "t.csv"), "init": [0.3, 0.05],
+            "output": "fit",
+        })
+        code, _, _ = _run(capsys, ["fit-physics", "--config", config, "--out", str(tmp_path)])
+        assert code == 0
+        params = json.loads((tmp_path / "fit.json").read_text())["params"]
+        assert params == fit_model("thermometry", x, y, [0.3, 0.05], weights=weights).params.tolist()
+        assert params != fit_model("thermometry", x, y, [0.3, 0.05]).params.tolist()
+
+    def test_fit_physics_non_convergence_exits_4_with_the_partial_json(self, tmp_path, capsys):
+        # identical abscissae leave one flat direction in (alpha, t_e), so
+        # the Jacobian is singular
+        y = 1e-4 + 1e-6 * np.random.default_rng(5).standard_normal(10)
+        (tmp_path / "flat.csv").write_text("".join(f"0.1,{float(v)!r}\n" for v in y))
+        config = _write_config(tmp_path, "fit.json", {
+            "model": "thermometry", "input_csv": str(tmp_path / "flat.csv"),
+            "init": [0.17, 0.090], "output": "fit",
+        })
+        code, report, _ = _run(capsys, ["fit-physics", "--config", config, "--out", str(tmp_path)])
+        assert code == 4
+        assert report["error"] == "physics fit did not converge"
+        assert report["outputs"] == [str(tmp_path / "fit.json")]
+        assert report["results"]["converged"] is False
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        assert payload["converged"] is False and payload["status"] == STATUS_SINGULAR_JACOBIAN
+        assert payload["model"] == "thermometry" and len(payload["params"]) == 2
+
     def test_binary_csv_names_the_file(self, tmp_path, capsys):
         # float64 bytes, as in a trace bundle's .f64, are not UTF-8 text
         path = tmp_path / "traces.f64"
@@ -492,6 +564,33 @@ class TestFitCommands:
         assert abs(payload["density"]["t1_tm"] - t1) < 0.2 * t1
 
 
+    def test_fit_histogram_non_convergence_exits_4_with_the_partial_json(self, tmp_path, capsys):
+        # no triplet decays in these averages, so the fit pins the decay
+        # rate at its lower bound and stops at the iteration limit
+        rng = np.random.default_rng(0)
+        draws = rng.normal(np.where(rng.random(2000) < 0.5, 0.0, 1.0), 1 / 6)
+        centers, counts = build_histogram(draws, 60)
+        rows = "".join(f"{float(c)!r},{int(n)}\n" for c, n in zip(centers, counts))
+        (tmp_path / "hist.csv").write_text(rows)
+        config = _write_config(tmp_path, "fit.json", {
+            "input_csv": str(tmp_path / "hist.csv"), "t_s": 1e-4, "mode": "two_state",
+            "init": {
+                "v_s": 0.1, "v_t": 0.9, "sigma0": 0.2, "t0": 1e-4,
+                "t1_t0": 1e-4, "t1_tm": 3e-4, "p_s": 0.5, "p_t0": 0.0, "p_tm": 0.5,
+            },
+            "output": "histfit",
+        })
+        code, report, _ = _run(capsys, ["fit-histogram", "--config", config, "--out", str(tmp_path)])
+        assert code == 4
+        assert report["error"] == "histogram fit did not converge"
+        assert report["outputs"] == [str(tmp_path / "histfit.json")]
+        assert report["results"]["converged"] is False
+        payload = json.loads((tmp_path / "histfit.json").read_text())
+        assert payload["fit"]["converged"] is False
+        assert payload["fit"]["status"] == STATUS_MAX_ITERATIONS
+        assert abs(payload["density"]["v_t"] - 1.0) < 0.02
+
+
 class TestSnrAndEmit:
     def test_snr_iq_mode(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -558,6 +657,29 @@ class TestSnrAndEmit:
         lines = (tmp_path / "hist.csv").read_text().strip().splitlines()
         assert lines[0] == "bin_center,count,density_two_state,density_three_state"
         assert len(lines) == 42
+
+    def test_emit_histogram_three_state_column(self, tmp_path, capsys):
+        sim = _write_config(tmp_path, "sim.json", {
+            "hmm": _hmm_dict(), "n_traces": 500, "n_samples": 25, "output": "sim",
+        })
+        _run(capsys, ["simulate", "--config", sim, "--seed", "8", "--out", str(tmp_path)])
+        three_state = {
+            "v_s": 0.0, "v_t": 1.0, "sigma0": 0.13, "t0": 2e-4,
+            "t1_t0": 1.7e-4, "t1_tm": 0.29, "p_s": 0.25, "p_t0": 0.25, "p_tm": 0.5,
+        }
+        config = _write_config(tmp_path, "emit.json", {
+            "family": "histogram", "input": str(tmp_path / "sim"), "t_read_s": 2e-4,
+            "bins": 41, "three_state": three_state, "output": "hist",
+        })
+        code, _, _ = _run(capsys, ["emit", "--config", config, "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "hist.csv").read_text().strip().splitlines()
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        batch = TraceBundle.load(str(tmp_path / "sim")).to_batch()
+        centers, counts = build_histogram(_window_means(batch, [2e-4])[0], 41)
+        density = combined_density(centers, 2e-4, DensityParams(**three_state), "three_state")
+        np.testing.assert_array_equal(data[:, 3], density * counts.sum() * (centers[1] - centers[0]))
+        assert np.all(np.isnan(data[:, 2]))
 
     def test_emit_histogram_averages_are_the_sweep_kernel_bit_for_bit(self, tmp_path, capsys, monkeypatch):
         sim = _write_config(tmp_path, "sim.json", {
@@ -696,6 +818,35 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, labelled_bundle, case
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("command", ["sweep", "snr"])
+@pytest.mark.parametrize("bad", [None, [1e-4], True, "1e-4"], ids=["null", "list", "true", "string"])
+def test_read_time_that_is_not_a_number_exits_2(tmp_path, capsys, labelled_bundle, command, bad):
+    if command == "sweep":
+        payload = dict(_SWEEP, input=labelled_bundle)
+    else:
+        payload = {"mode": "scaling", "input": labelled_bundle}
+    config = _write_config(tmp_path, "bad.json", dict(payload, t_read_s_list=[1e-4, bad]))
+    code, report, err = _run(capsys, [command, "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 2 and report is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: t_read_s_list entries must be numbers")
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "config error: config is not valid JSON: "),
+    ("[1, 2]", "config error: config must be a JSON object"),
+], ids=["invalid", "array"])
+def test_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, text, message):
+    (tmp_path / "cfg.json").write_text(text)
+    code, report, err = _run(capsys, ["emit", "--config", str(tmp_path / "cfg.json"),
+                                      "--out", str(tmp_path / "out")])
+    assert code == 2 and report is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_HMM_VALUES))

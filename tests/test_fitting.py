@@ -77,6 +77,13 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             fit_model("lz", VELOCITIES, _lz_curve(VELOCITIES, DELTA_TRUE)[:-1], init=[DELTA_TRUE])
 
+    @pytest.mark.parametrize("init", [[0.17], [0.17, 0.090, 1.0]])
+    def test_init_of_the_wrong_length_names_the_parameter_count(self, init):
+        t_mxc = np.linspace(0.01, 0.4, 25)
+        y = get_model("thermometry")(t_mxc, np.array([0.17, 0.090]))
+        with pytest.raises(ValueError, match=rf"takes 2 parameters \(alpha, t_e\), init has {len(init)}"):
+            fit_model("thermometry", t_mxc, y, init=init)
+
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
             fit_model("thermometry", [0.1], [1e-4], init=[0.17, 0.090])

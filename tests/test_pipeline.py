@@ -245,6 +245,15 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.data, bundle.data)
         assert loaded.manifest.dt == bundle.manifest.dt
 
+    def test_csv_round_trip_of_a_bundle_with_backgrounds_keeps_the_readout(self, tmp_path):
+        bundle = _bundle_with_backgrounds(np.random.default_rng(17), n_traces=3, n_samples=3, n_bg=1)
+        path = str(tmp_path / "traces.csv")
+        bundle.to_csv(path)
+        loaded = TraceBundle.from_csv(path)
+        np.testing.assert_array_equal(loaded.data, bundle.readout)
+        assert loaded.manifest.n_samples == 3 and loaded.manifest.background_samples == 0
+        assert loaded.manifest.dt == bundle.manifest.dt
+
     def test_batch_conversion(self):
         rng = np.random.default_rng(13)
         bundle = _bundle_with_backgrounds(rng, n_traces=6, labels=[0, 1, 2, 0, 1, 2])

@@ -182,6 +182,11 @@ class TestMapBasis:
         assert map_basis(sr.SpinState.TM, ReadoutBasis.PARITY) == "even"
         assert map_basis(sr.SpinState.TM, ReadoutBasis.SINGLET_TRIPLET) == "triplet"
 
+    @pytest.mark.parametrize("label", [0.9, 1.0, True, np.bool_(False), 3, -1, "1"])
+    def test_label_that_is_not_a_spin_code_rejected(self, label):
+        with pytest.raises(ValueError, match="spin code"):
+            map_basis(label, ReadoutBasis.PARITY)
+
 
 class TestConfusionMetrics:
     def test_all_correct(self):
@@ -250,6 +255,9 @@ class TestConfusionMetrics:
         (["odd", "even"], ["odd", "Tm"]),
         ([0, 1], [0, 3]),
         ([0, -1], [0, 1]),
+        ([0, 1], [0.9, 1]),
+        ([True, 0], [0, 1]),
+        (np.array([0.0, 1.0]), np.array([0, 1])),
     ])
     def test_label_outside_basis_rejected(self, truth, pred):
         with pytest.raises(ValueError):
