@@ -989,6 +989,8 @@ def _check_dt(params: HmmParams, dt: float) -> None:
 def _window_samples(dt: float, n_available: int, t_read: float | None) -> int:
     if t_read is None:
         return n_available
+    if not math.isfinite(t_read):
+        raise ValueError(f"t_read must be finite, got {t_read!r}")
     n = int(math.floor(t_read / dt + 1e-9))
     if n < 1:
         raise ValueError("t_read must cover at least one sample")

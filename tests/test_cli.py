@@ -563,7 +563,6 @@ class TestFitCommands:
         assert abs(payload["density"]["v_t"] - 1.0) < 0.02
         assert abs(payload["density"]["t1_tm"] - t1) < 0.2 * t1
 
-
     def test_fit_histogram_non_convergence_exits_4_with_the_partial_json(self, tmp_path, capsys):
         # no triplet decays in these averages, so the fit pins the decay
         # rate at its lower bound and stops at the iteration limit
@@ -763,6 +762,10 @@ _BAD_INPUTS = {
             "t1_t0": 1.7e-4, "t1_tm": 0.29, "p_s": 0.5, "p_t0": 0.0, "p_tm": 0.5}}),
     "sweep_non_numeric_time": ("sweep", lambda b: dict(_SWEEP, input=b, t_read_s_list=["x"])),
     "sweep_no_times": ("sweep", lambda b: dict(_SWEEP, input=b, t_read_s_list=[])),
+    "sweep_infinite_time": ("sweep", lambda b: dict(_SWEEP, input=b, t_read_s_list=[1e-4, math.inf])),
+    "classify_infinite_time": ("classify", lambda b: dict(_SWEEP, input=b, t_read_s=math.inf)),
+    "classify_nan_time": ("classify", lambda b: dict(_SWEEP, input=b, t_read_s=math.nan)),
+    "emit_infinite_window": ("emit", lambda b: {"family": "histogram", "input": b, "t_read_s": math.inf}),
     "sweep_dt_mismatch": ("sweep", lambda b: dict(
         _SWEEP, input=b, hmm=_hmm_dict(dt=4e-5), t_read_s_list=[1e-4, 2e-4])),
     "classify_dt_mismatch": ("classify", lambda b: dict(
