@@ -110,7 +110,7 @@ def least_squares_damped(
     x = np.asarray(x0, dtype=float).copy()
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(x < lo) or np.any(x > hi):
+    if not np.all((lo <= x) & (x <= hi)):  # a NaN is outside too
         raise ValueError("initial parameters outside declared bounds")
 
     r = residual_fn(x)

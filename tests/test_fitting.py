@@ -73,6 +73,12 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match="bounds"):
             fit_model("lz", VELOCITIES, _lz_curve(VELOCITIES, DELTA_TRUE), init=[1.0])
 
+    def test_nan_init_raises(self):
+        t_mxc = np.linspace(0.01, 0.4, 25)
+        y = get_model("thermometry")(t_mxc, np.array([0.17, 0.090]))
+        with pytest.raises(ValueError, match="bounds"):
+            fit_model("thermometry", t_mxc, y, init=[np.nan, 0.090])
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             fit_model("lz", VELOCITIES, _lz_curve(VELOCITIES, DELTA_TRUE)[:-1], init=[DELTA_TRUE])
