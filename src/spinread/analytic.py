@@ -5,7 +5,9 @@ system is a Gaussian for the singlet, and for each triplet a survival
 Gaussian plus a decay tail: averaging a trace that switches from the
 triplet level to the singlet level at an exponentially distributed time
 smears mass between the two voltages. Fidelities follow from the exact
-CDFs of these densities at an optimised threshold.
+CDFs of these densities at an optimised threshold. Each public function
+checks its times and computes sigma once; one kernel per density, with a
+single tail path for either order of the levels, serves scalars and arrays.
 """
 
 from __future__ import annotations
@@ -74,77 +76,81 @@ class AnalyticFidelityReport:
     snr: float
 
 
+def _float64(x):
+    """x as float64: an array, or a numpy scalar, whose arithmetic beats a 0-d array's."""
+    return np.asarray(x, dtype=float)[()]
+
+
+def _float_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def sigma_of_t(sigma0: float, t0: float, t) -> float:
     """White-noise std of a window average: sigma0 * sqrt(t0 / t)."""
-    t = np.asarray(t, dtype=float)
-    if sigma0 <= 0 or t0 <= 0:
-        raise ValueError("sigma0 and t0 must be > 0")
-    if np.any(t <= 0):
-        raise ValueError("t must be > 0")
-    out = sigma0 * np.sqrt(t0 / t)
-    return float(out) if out.ndim == 0 else out
+    t = _float64(t)
+    if not (0 < sigma0 < math.inf and 0 < t0 < math.inf):
+        raise ValueError("sigma0 and t0 must be finite and > 0")
+    if not (np.isfinite(t) & (t > 0)).all():
+        raise ValueError("t must be finite and > 0")
+    return _float_or_array(sigma0 * np.sqrt(t0 / t))
+
+
+def _decay_exponent(t: float, t1: float, p: DensityParams) -> float:
+    """k = t/T1 of a decay tail; t is checked by :func:`sigma_of_t`."""
+    if not (math.isfinite(t1) and t1 > 0):
+        raise ValueError("t1 must be finite and > 0")
+    if p.v_t == p.v_s:
+        raise ValueError("decay tail is undefined for v_t == v_s")
+    return t / t1
 
 
 def _gauss(v, mu, sigma):
     return np.exp(-0.5 * ((v - mu) / sigma) ** 2) / (_SQRT2PI * sigma)
 
 
+def _tail(v, v_s, v_t, sigma, k):
+    """Decay-tail density for either order of the levels, k = t/T1.
+
+    Equivalent to k * int_0^1 exp(-k u) N(v; v_s + u (v_t - v_s), sigma) du;
+    v_t < v_s reflects v and both levels. Per level, exp(E) erfc(g) is
+    a = exp(E - g^2) erfcx(|g|) <= 1 for g >= 0, else 2 exp(E) - a with E < 0:
+    one np.where for scalars and arrays; exp(E) overflows only where discarded.
+    """
+    if v_t < v_s:
+        v, v_s, v_t = -v, -v_s, -v_t
+    dv = v_t - v_s
+    with np.errstate(over="ignore"):
+        twice_exp_e = 2.0 * np.exp(k * (v_s - v) / dv + 0.5 * (k * sigma / dv) ** 2)
+
+    def term(level, k_level):
+        # z * z, not z ** 2: a scalar v rounds as an array element does
+        z = (v - level) / sigma
+        g = k * sigma / (_SQRT2 * dv) + (level - v) / (_SQRT2 * sigma)
+        a = np.exp(-k_level - 0.5 * (z * z)) * erfcx(np.abs(g))
+        return np.where(g >= 0.0, a, twice_exp_e - a)
+
+    return k / (2.0 * dv) * (term(v_s, 0.0) - term(v_t, k))
+
+
+def _triplet(v, sigma, k, p: DensityParams):
+    return math.exp(-k) * _gauss(v, p.v_t, sigma) + _tail(v, p.v_s, p.v_t, sigma, k)
+
+
 def singlet_density(v, t: float, p: DensityParams):
     """Gaussian at the singlet voltage with the window-averaged std."""
-    sigma = sigma_of_t(p.sigma0, p.t0, t)
-    out = _gauss(np.asarray(v, dtype=float), p.v_s, sigma)
-    return float(out) if out.ndim == 0 else out
-
-
-def _tail(v, v_s, v_t, sigma, k):
-    """Decay-tail density for v_t > v_s, k = t/T1.
-
-    Equivalent to k * int_0^1 exp(-k u) N(v; v_s + u (v_t - v_s), sigma) du.
-    Written with erfcx so the exp/erf product never overflows: each branch
-    multiplies a bounded scaled complement by an exponent that is <= 0.
-    """
-    dv = v_t - v_s
-    g_s = k * sigma / (_SQRT2 * dv) + (v_s - v) / (_SQRT2 * sigma)
-    g_t = k * sigma / (_SQRT2 * dv) + (v_t - v) / (_SQRT2 * sigma)
-    pre_s = -0.5 * ((v - v_s) / sigma) ** 2
-    pre_t = -k - 0.5 * ((v - v_t) / sigma) ** 2
-
-    def scaled_term(g, pre):
-        out = np.empty_like(g)
-        pos = g >= 0.0
-        out[pos] = np.exp(pre[pos]) * erfcx(g[pos])
-        if np.any(~pos):
-            # exp(E) erfc(g) = 2 exp(E) - exp(E - g^2) erfcx(-g); E < 0 here
-            e = k * (v_s - v[~pos]) / dv + 0.5 * (k * sigma / dv) ** 2
-            out[~pos] = 2.0 * np.exp(e) - np.exp(pre[~pos]) * erfcx(-g[~pos])
-        return out
-
-    return k / (2.0 * dv) * (scaled_term(g_s, pre_s) - scaled_term(g_t, pre_t))
+    return _float_or_array(_gauss(_float64(v), p.v_s, sigma_of_t(p.sigma0, p.t0, t)))
 
 
 def decay_tail(v, t: float, t1: float, p: DensityParams):
     """Density contribution of triplets that decayed inside the window."""
-    if t <= 0 or t1 <= 0:
-        raise ValueError("t and t1 must be > 0")
-    if p.v_t == p.v_s:
-        raise ValueError("decay tail is undefined for v_t == v_s")
-    sigma = sigma_of_t(p.sigma0, p.t0, t)
-    k = t / t1
-    scalar = np.ndim(v) == 0
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if p.v_t > p.v_s:
-        out = _tail(v, p.v_s, p.v_t, sigma, k)
-    else:
-        out = _tail(-v, -p.v_s, -p.v_t, sigma, k)
-    return float(out[0]) if scalar else out
+    sigma, k = sigma_of_t(p.sigma0, p.t0, t), _decay_exponent(t, t1, p)
+    return _float_or_array(_tail(_float64(v), p.v_s, p.v_t, sigma, k))
 
 
 def triplet_density(v, t: float, t1: float, p: DensityParams):
     """Survival Gaussian at the triplet voltage plus the decay tail."""
-    sigma = sigma_of_t(p.sigma0, p.t0, t)
-    surv = math.exp(-t / t1) * _gauss(np.asarray(v, dtype=float), p.v_t, sigma)
-    out = surv + decay_tail(v, t, t1, p)
-    return float(out) if np.ndim(out) == 0 else out
+    sigma, k = sigma_of_t(p.sigma0, p.t0, t), _decay_exponent(t, t1, p)
+    return _float_or_array(_triplet(_float64(v), sigma, k, p))
 
 
 def combined_density(v, t: float, p: DensityParams, mode: str):
@@ -153,17 +159,15 @@ def combined_density(v, t: float, p: DensityParams, mode: str):
     two_state: p_s * n_S + p_tm * n_T(t1_tm), requires p_t0 = 0;
     three_state: p_s * n_S + p_t0 * n_T(t1_t0) + p_tm * n_T(t1_tm).
     """
-    if mode == "two_state":
-        if p.p_t0 > 1e-12:
-            raise ValueError("two_state mode requires p_t0 = 0")
-        return p.p_s * singlet_density(v, t, p) + p.p_tm * triplet_density(v, t, p.t1_tm, p)
+    if mode not in ("two_state", "three_state"):
+        raise ValueError("mode must be 'two_state' or 'three_state'")
+    if mode == "two_state" and p.p_t0 > 1e-12:
+        raise ValueError("two_state mode requires p_t0 = 0")
+    v, sigma = _float64(v), sigma_of_t(p.sigma0, p.t0, t)
+    out = p.p_s * _gauss(v, p.v_s, sigma)
     if mode == "three_state":
-        return (
-            p.p_s * singlet_density(v, t, p)
-            + p.p_t0 * triplet_density(v, t, p.t1_t0, p)
-            + p.p_tm * triplet_density(v, t, p.t1_tm, p)
-        )
-    raise ValueError("mode must be 'two_state' or 'three_state'")
+        out = out + p.p_t0 * _triplet(v, sigma, _decay_exponent(t, p.t1_t0, p), p)
+    return _float_or_array(out + p.p_tm * _triplet(v, sigma, _decay_exponent(t, p.t1_tm, p), p))
 
 
 def electrical_fidelity(snr: float) -> float:
@@ -176,20 +180,20 @@ def fidelity_from_snr(snr: float, gamma_t: float) -> float:
     return 0.5 * (1.0 + erf(snr / (2.0 * _SQRT2)) * math.exp(-0.5 * gamma_t))
 
 
-def _singlet_cdf(x, t: float, p: DensityParams):
-    return ndtr((x - p.v_s) / sigma_of_t(p.sigma0, p.t0, t))
+def _singlet_cdf(x, sigma: float, p: DensityParams):
+    return ndtr((x - p.v_s) / sigma)
 
 
-def _triplet_cdf(x, t: float, t1: float, p: DensityParams):
-    """Exact CDF of :func:`triplet_density`.
+def _triplet_cdf(x, sigma: float, k: float, p: DensityParams):
+    """Exact CDF of the triplet density, k = t/T1.
 
     Integrating the decay tail by parts over the decay time gives
-    Phi((x-v_s)/sigma) - e^-k Phi((x-v_t)/sigma) - (dv/k) tail(x), k = t/T1,
+    Phi((x-v_s)/sigma) - e^-k Phi((x-v_t)/sigma) - (dv/k) tail(x)
     for either sign of dv = v_t - v_s; the survival Gaussian's CDF
     e^-k Phi((x-v_t)/sigma) cancels the second of these terms. dv/k times the
     tail stays O(1) as k -> 0, so small k needs no special case.
     """
-    return _singlet_cdf(x, t, p) - (p.v_t - p.v_s) / (t / t1) * decay_tail(x, t, t1, p)
+    return _singlet_cdf(x, sigma, p) - (p.v_t - p.v_s) / k * _tail(x, p.v_s, p.v_t, sigma, k)
 
 
 def _class_cdfs(p: DensityParams, t: float, mode: str, basis: ReadoutBasis):
@@ -198,26 +202,21 @@ def _class_cdfs(p: DensityParams, t: float, mode: str, basis: ReadoutBasis):
     The low group contains the singlet. For three-state parity the class
     weights are pinned to (0.25, 0.25, 0.5) so odd/even stay balanced.
     """
+    sigma, k_tm = sigma_of_t(p.sigma0, p.t0, t), _decay_exponent(t, p.t1_tm, p)
+    singlet = lambda x: _singlet_cdf(x, sigma, p)
+    t_minus = lambda x: _triplet_cdf(x, sigma, k_tm, p)
     if mode == "two_state":
-        low = lambda x: _singlet_cdf(x, t, p)
-        high = lambda x: _triplet_cdf(x, t, p.t1_tm, p)
-        gamma_ref = 1.0 / p.t1_tm
-    elif basis is ReadoutBasis.PARITY:
-        low = lambda x: 0.5 * (_singlet_cdf(x, t, p) + _triplet_cdf(x, t, p.t1_t0, p))
-        high = lambda x: _triplet_cdf(x, t, p.t1_tm, p)
-        gamma_ref = 1.0 / p.t1_tm
-    elif basis is ReadoutBasis.SINGLET_TRIPLET:
+        return singlet, t_minus, 1.0 / p.t1_tm
+    k_t0 = _decay_exponent(t, p.t1_t0, p)
+    t_zero = lambda x: _triplet_cdf(x, sigma, k_t0, p)
+    if basis is ReadoutBasis.PARITY:
+        return lambda x: 0.5 * (singlet(x) + t_zero(x)), t_minus, 1.0 / p.t1_tm
+    if basis is ReadoutBasis.SINGLET_TRIPLET:
         w = p.p_t0 + p.p_tm
         if w <= 0:
             raise ValueError("singlet_triplet basis needs triplet fractions > 0")
-        low = lambda x: _singlet_cdf(x, t, p)
-        high = lambda x: (
-            p.p_t0 * _triplet_cdf(x, t, p.t1_t0, p) + p.p_tm * _triplet_cdf(x, t, p.t1_tm, p)
-        ) / w
-        gamma_ref = 1.0 / p.t1_t0
-    else:
-        raise ValueError("basis must be parity or singlet_triplet")
-    return low, high, gamma_ref
+        return singlet, lambda x: (p.p_t0 * t_zero(x) + p.p_tm * t_minus(x)) / w, 1.0 / p.t1_t0
+    raise ValueError("basis must be parity or singlet_triplet")
 
 
 def analytic_fidelity(
@@ -318,7 +317,7 @@ def fit_histogram(
             p_s=p_s, p_t0=p_t0, p_tm=1.0 - p_s - p_t0,
         )
 
-    sigma_init = init.sigma0 * math.sqrt(init.t0 / t)
+    sigma_init = sigma_of_t(init.sigma0, init.t0, t)
     if mode == "two_state":
         x0 = [init.v_s, init.v_t, sigma_init, t / init.t1_tm, init.p_s]
         bounds = [

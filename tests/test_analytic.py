@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -90,6 +93,13 @@ class TestSigmaOfT:
         with pytest.raises(ValueError):
             sigma_of_t(0.3, 1e-4, 0.0)
 
+    @pytest.mark.parametrize(
+        "sigma0, t0", [(math.nan, 1e-4), (math.inf, 1e-4), (0.3, math.nan), (0.3, math.inf)]
+    )
+    def test_non_finite_scale_raises(self, sigma0, t0):
+        with pytest.raises(ValueError, match="sigma0 and t0 must be finite"):
+            sigma_of_t(sigma0, t0, 1e-4)
+
 
 class TestDensityParams:
     FIELDS = ("v_s", "v_t", "sigma0", "t0", "t1_t0", "t1_tm", "p_s", "p_t0", "p_tm")
@@ -166,6 +176,20 @@ class TestDecayTail:
             assert abs(
                 decay_tail(v, p.t0, p.t1_tm, p) - decay_tail(1.0 - v, q.t0, q.t1_tm, q)
             ) < 1e-12
+
+    def test_scalar_gives_the_bits_of_the_array_element(self):
+        # one kernel serves both: a 1-ULP difference in a square shows here
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            v_s = rng.uniform(-1, 1)
+            dv = rng.uniform(0.05, 2) * rng.choice([-1, 1])
+            sigma = abs(dv) / 10 ** rng.uniform(math.log10(0.3), 2)
+            k = 10 ** rng.uniform(-12, math.log10(300))
+            p = _params(v_s=v_s, v_t=v_s + dv, snr=abs(dv) / sigma, t1_tm=1e-4 / k)
+            lo, hi = min(p.v_s, p.v_t), max(p.v_s, p.v_t)
+            v = rng.uniform(lo - 3 * sigma, hi + 3 * sigma, 8)
+            scalars = [decay_tail(float(x), p.t0, p.t1_tm, p) for x in v]
+            assert np.array_equal(decay_tail(v, p.t0, p.t1_tm, p), scalars)
 
     def test_degenerate_levels_rejected(self):
         p = _params()
@@ -281,6 +305,153 @@ class TestClassCdfs:
         for mode, basis in self.CLASSES:
             for cdf in _class_cdfs(p, p.t0, mode, basis)[:2]:
                 assert abs(cdf(-40.0)) < 1e-15 and abs(cdf(40.0) - 1.0) < 1e-15
+
+
+# -- old-vs-new golden ----------------------------------------------------------
+
+_PINNED_KS = (1e-12, 1e-6, 0.01, 0.5, 3.0, 30.0, 300.0)
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def _pinned_outputs():
+    """sha256 of every density and class CDF on a fixed grid.
+
+    The grid takes both signs of v_t - v_s, decay exponents k = t/T1 from
+    1e-12 to 300, SNR down to 0.3 and v out to 40 sigma beyond the levels,
+    with random points near the levels. A scalar v rounds its Gaussians
+    differently from an array, so scalar calls are pinned apart from array
+    calls.
+    """
+    t, t0 = 1e-4, 3.3e-6
+    rng = np.random.default_rng(21)
+    outputs = {}
+    for (v_s, v_t), snr, (k, k_other) in itertools.product(
+        ((0.0, 1.0), (0.5, -0.7)), (0.3, 1.0, 5.0, 40.0), zip(_PINNED_KS, _PINNED_KS[::-1])
+    ):
+        sigma = abs(v_t - v_s) / snr
+        p = DensityParams(
+            v_s=v_s, v_t=v_t, sigma0=sigma * math.sqrt(t / t0), t0=t0,
+            t1_t0=t / k, t1_tm=t / k_other, p_s=0.25, p_t0=0.25, p_tm=0.5,
+        )
+        p2 = dataclasses.replace(p, p_s=0.5, p_t0=0.0)
+        lo, hi = min(v_s, v_t), max(v_s, v_t)
+        v = np.concatenate([
+            np.linspace(lo - 40 * sigma, hi + 40 * sigma, 33),
+            rng.uniform(lo - 3 * sigma, hi + 3 * sigma, 24),
+            [v_s, v_t],
+        ])
+        fns = {
+            "singlet_density": lambda x: singlet_density(x, t, p),
+            "decay_tail": lambda x: decay_tail(x, t, p.t1_t0, p),
+            "triplet_density": lambda x: triplet_density(x, t, p.t1_tm, p),
+            "combined_density.two_state": lambda x: combined_density(x, t, p2, "two_state"),
+            "combined_density.three_state": lambda x: combined_density(x, t, p, "three_state"),
+        }
+        for mode, basis in TestClassCdfs.CLASSES:
+            cdfs = _class_cdfs(p2 if mode == "two_state" else p, t, mode, basis)
+            for group, cdf in zip(("low", "high"), cdfs):
+                fns[f"_class_cdfs.{mode}.{basis.value}.{group}"] = cdf
+        for name, fn in fns.items():
+            outputs.setdefault(name, []).append(fn(v))
+            outputs.setdefault(name + ".scalar", []).extend(fn(float(x)) for x in v[::3])
+    return {name: _digest(np.hstack(values)) for name, values in outputs.items()}
+
+
+class TestPinnedOutputs:
+    # recorded from the implementation with a masked tail and sigma
+    # recomputed by every density and CDF call
+    DIGESTS = {
+        "singlet_density": "e55347df2c1e883bae09c40ec1af08ca94940ddd2fded242d37f4896595ee465",
+        "singlet_density.scalar": "c6d26549969a951351188d8cf2bd61629d2f2249f2ee941f96468512c77d6f74",
+        "decay_tail": "63bdf2792feaf673aa1284a2e53bbecee731ba89b8eda0f397315730bdac48b2",
+        "decay_tail.scalar": "a604a823d84a9fb0ce33418217a5c3033bd9283dc08f3e3c02b3c36b2166be53",
+        "triplet_density": "25ce3211ddac7aba2b70ad334c471fd0141429d20e34b893a89710c931d0b38c",
+        "triplet_density.scalar": "e434f985d07eca40078e6d85d94e6161128b317b8f7fb96724d6ac5e2c63cec9",
+        "combined_density.two_state": "3cd4e3add03fd92a2a8b5f4e936ef275f5152926b494c3e7a5585d669a394403",
+        "combined_density.two_state.scalar": "bcb155af2839652e79d4395b4fc757d3d7d819de0abf36f4b551a7c6041d44a4",
+        "combined_density.three_state": "4e8f2b5b40ebbcf2705b4013f188611b61d05667a95cd360849eefd9d1c04820",
+        "combined_density.three_state.scalar": "b6055e44be3b119297a6f42b6237a197d667f1f7b4a9f8e4bb26beaa24f8aafa",
+        "_class_cdfs.two_state.parity.low": "af495882bceac69e6d5cac539859c348722e2c0ac75cca27cc5bd426287551e3",
+        "_class_cdfs.two_state.parity.low.scalar": "a51f086a2c7ec5d676c867b09c63742166b298c15d5a12083c8b7f3b136550dc",
+        "_class_cdfs.two_state.parity.high": "4e64c99f105a57f7851b83807ec822ef100938d1cc1e80c934ccae00ba429a3f",
+        "_class_cdfs.two_state.parity.high.scalar": "e4578812a5039a68338e3685425c96986bb4c84ea798cd59a00c503141663f9b",
+        "_class_cdfs.three_state.parity.low": "a7a0a7752ce1b3f25697ffdd37b09f676b1687ae22652a3373d623f1de498d36",
+        "_class_cdfs.three_state.parity.low.scalar": "5cdeec551f04b65c3e80fb81dc2ac27112a883ef2ee98036832329c5102d2060",
+        "_class_cdfs.three_state.parity.high": "4e64c99f105a57f7851b83807ec822ef100938d1cc1e80c934ccae00ba429a3f",
+        "_class_cdfs.three_state.parity.high.scalar": "e4578812a5039a68338e3685425c96986bb4c84ea798cd59a00c503141663f9b",
+        "_class_cdfs.three_state.singlet_triplet.low": "af495882bceac69e6d5cac539859c348722e2c0ac75cca27cc5bd426287551e3",
+        "_class_cdfs.three_state.singlet_triplet.low.scalar": "a51f086a2c7ec5d676c867b09c63742166b298c15d5a12083c8b7f3b136550dc",
+        "_class_cdfs.three_state.singlet_triplet.high": "a3880258beaf2a8b3ba5b79bf970d288e82c022a710ec34284ff8adf17a76c01",
+        "_class_cdfs.three_state.singlet_triplet.high.scalar": "0b9e23864bed8fa486cced5fc6531be2a171ef27e27ad5d81820b9a7573f977a",
+    }
+
+    def test_outputs_hold_the_recorded_values(self):
+        # tier-1 turns a RuntimeWarning into an error, so this also shows
+        # that the tail branch np.where discards raises none
+        got = _pinned_outputs()
+        assert got.keys() == self.DIGESTS.keys()
+        assert [name for name in got if got[name] != self.DIGESTS[name]] == []
+
+
+class TestReturnTypes:
+    P3 = _params(t1_t0=2e-4, fractions=(0.25, 0.25, 0.5))
+    P2 = _params(t1_tm=3e-4)
+    FUNCTIONS = {
+        "singlet_density": lambda v: singlet_density(v, 1e-4, TestReturnTypes.P3),
+        "decay_tail": lambda v: decay_tail(v, 1e-4, 2e-4, TestReturnTypes.P3),
+        "triplet_density": lambda v: triplet_density(v, 1e-4, 2e-4, TestReturnTypes.P3),
+        "combined_density.two_state":
+            lambda v: combined_density(v, 1e-4, TestReturnTypes.P2, "two_state"),
+        "combined_density.three_state":
+            lambda v: combined_density(v, 1e-4, TestReturnTypes.P3, "three_state"),
+        # its array argument is the readout time
+        "sigma_of_t": lambda t: sigma_of_t(0.3, 1e-4, t),
+    }
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    @pytest.mark.parametrize("v", [0.4, 1, np.float64(0.4), np.array(0.4)])
+    def test_scalar_gives_a_python_float(self, name, v):
+        assert type(self.FUNCTIONS[name](v)) is float
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
+    def test_array_gives_an_array_of_its_shape(self, name, shape):
+        out = self.FUNCTIONS[name](np.linspace(0.1, 0.9, 6).reshape(shape))
+        assert type(out) is np.ndarray and out.shape == shape
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestNonFiniteTimes:
+    P = _params(t1_t0=2e-4, fractions=(0.25, 0.25, 0.5))
+
+    def test_sigma_of_t(self, bad):
+        for t in (bad, np.array([1e-4, bad])):
+            with pytest.raises(ValueError, match="t must be finite"):
+                sigma_of_t(0.1, 1e-4, t)
+
+    def test_singlet_density(self, bad):
+        with pytest.raises(ValueError, match="t must be finite"):
+            singlet_density(0.5, bad, self.P)
+
+    @pytest.mark.parametrize("fn", [decay_tail, triplet_density])
+    @pytest.mark.parametrize("which", ["t", "t1"])
+    def test_decay_tail_and_triplet_density(self, bad, fn, which):
+        t, t1 = (bad, 2e-4) if which == "t" else (1e-4, bad)
+        with pytest.raises(ValueError, match=f"{which} must be finite"):
+            fn(0.5, t, t1, self.P)
+
+    @pytest.mark.parametrize("mode", ["two_state", "three_state"])
+    def test_combined_density(self, bad, mode):
+        p = self.P if mode == "three_state" else _params()
+        with pytest.raises(ValueError, match="t must be finite"):
+            combined_density(0.5, bad, p, mode)
+
+    def test_analytic_fidelity(self, bad):
+        with pytest.raises(ValueError, match="t must be finite"):
+            analytic_fidelity(self.P, bad, "three_state")
 
 
 class TestAnalyticFidelity:
