@@ -24,7 +24,9 @@ import numpy as np
 from . import __version__
 from .analytic import DensityParams, combined_density, fit_histogram
 from .fitting import fit_model, get_model
-from .markov import HmmParams, SpinState, ZeroLikelihoodError, simulate_batch, em_fit
+from .markov import (
+    HmmParams, SpinState, ZeroLikelihoodError, em_fit, simulate_backgrounds, simulate_batch,
+)
 from .physics import SensorParams, delta_c_drt
 from .pipeline import (
     IqBatch,
@@ -227,11 +229,9 @@ def _cmd_simulate(config, seed, prefix):
     batch = simulate_batch(params, config["n_traces"], config["n_samples"], seed)
     if n_bg > 0:
         std = float(np.mean(params.emissions.stds))
-        bg = np.empty((batch.n_traces, n_bg))
-        for k in range(batch.n_traces):
-            rng = np.random.default_rng((int(seed), k, 1))
-            bg[k] = config["background_mean"] + std * rng.standard_normal(n_bg)
-        batch.backgrounds = bg
+        batch.backgrounds = simulate_backgrounds(
+            batch.n_traces, n_bg, seed, config["background_mean"], std
+        )
     bundle = TraceBundle.from_batch(batch, v0=config["v0"])
     if config["drift_per_trace"] != 0.0:
         bundle = with_linear_drift(bundle, config["drift_per_trace"])

@@ -22,7 +22,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
+from numpy.random.bit_generator import ISeedSequence
 
 N_STATES = 6
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -123,38 +123,45 @@ def build_generator(rates: RateSet) -> np.ndarray:
     return q
 
 
-def _reachability_mask(q: np.ndarray) -> np.ndarray:
-    """Boolean closure of a generator's or a one-step matrix's sparsity
-    pattern (incl. staying)."""
-    adj = (q != 0.0) | np.eye(q.shape[0], dtype=bool)
+def _reachability_mask(a: np.ndarray) -> np.ndarray:
+    """Boolean closure of a one-step matrix's sparsity pattern (incl. staying)."""
+    adj = (a != 0.0) | np.eye(a.shape[0], dtype=bool)
     reach = adj.copy()
-    for _ in range(int(math.ceil(math.log2(q.shape[0]))) + 1):
+    for _ in range(int(math.ceil(math.log2(a.shape[0]))) + 1):
         reach = reach | (reach @ reach)
     return reach
 
 
 def transition_matrix(q: np.ndarray, dt: float) -> np.ndarray:
-    """One-step stochastic matrix exp(q * dt).
+    """One-step stochastic matrix exp(q * dt) of a model generator.
 
-    Uses scaling-and-squaring; entries are clamped to [0, 1] against
-    roundoff, rows renormalised to sum exactly to one, and transitions
-    that are unreachable in the generator are pinned to exactly zero.
+    ``q`` must equal ``build_generator(rates)`` for the rates read off it;
+    any other matrix raises ValueError. The generator is a Kronecker sum,
+    so exp(q * dt) = F (x) S in closed form: S is the spin block, where a
+    triplet decays with -expm1(-gamma dt) and stays with exp(-gamma dt);
+    F is the fluctuator's two-state exponential at total rate
+    r = up + down, the identity at r = 0. Unreachable transitions are
+    exact zeros.
     """
-    q = np.asarray(q, dtype=float)
     _require_positive("dt", dt)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError("generator must be square")
-    offdiag = q - np.diag(np.diag(q))
-    scale = max(np.abs(q).max(), 1.0)
-    if np.any(offdiag < -1e-12 * scale):
-        raise ValueError("generator off-diagonals must be >= 0")
-    if np.abs(q.sum(axis=1)).max() > 1e-10 * scale:
-        raise ValueError("generator rows must sum to zero")
-    a = expm(q * dt)
-    a[~_reachability_mask(q)] = 0.0
-    a = np.clip(a, 0.0, 1.0)
-    a /= a.sum(axis=1, keepdims=True)
-    return a
+    q = np.asarray(q, dtype=float)
+    if q.shape != (N_STATES, N_STATES):
+        raise ValueError(f"generator must have shape ({N_STATES}, {N_STATES})")
+    rates = RateSet(gamma_t0=q[1, 0], gamma_tm=q[2, 0], tlf_up=q[0, 3], tlf_down=q[3, 0])
+    if not np.array_equal(q, build_generator(rates)):
+        raise ValueError("generator must be build_generator(rates) for some RateSet")
+    s = np.eye(3)
+    for i, gamma in ((1, rates.gamma_t0), (2, rates.gamma_tm)):
+        s[i, 0] = -math.expm1(-gamma * dt)
+        s[i, i] = math.exp(-gamma * dt)
+    up, down = rates.tlf_up, rates.tlf_down
+    r = up + down
+    f = np.eye(2)
+    if r > 0.0:
+        e = math.exp(-r * dt)
+        flip = -math.expm1(-r * dt) / r
+        f = np.array([[(down + up * e) / r, up * flip], [down * flip, (up + down * e) / r]])
+    return np.kron(f, s)
 
 
 @dataclass(frozen=True)
@@ -330,6 +337,87 @@ class Posterior:
 _STEP_BLOCK = 64
 # Samples per row block when simulate_batch turns paths into emissions.
 _EMIT_ELEMENTS = 1 << 16
+# numpy.random.SeedSequence's hash constants (pool of four uint32 words)
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+
+def _int_words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, low word first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(seed: int, ks: np.ndarray, key=()) -> np.ndarray:
+    """``SeedSequence((seed, k, *key)).generate_state(4, np.uint64)`` for
+    every k in ``ks`` (each < 2**32, so one entropy word), as (len(ks), 4)
+    uint64.
+
+    The same uint32 hash as numpy's SeedSequence, run over all k at once:
+    the hash constants do not depend on the entropy, only one entropy word
+    varies with k, and numpy arrays wrap on overflow as uint32 does.
+    """
+    k = np.asarray(ks, dtype=np.uint32)
+    # one array per entropy word, so all arithmetic wraps as uint32 arrays
+    entropy = [np.full_like(k, w) for w in _int_words(seed)] + [k]
+    entropy += [np.full_like(k, w) for x in key for w in _int_words(x)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(k)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty(k.shape + (8,), dtype="<u4")
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[..., i] = value ^ (value >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A precomputed PCG64 seed state, handed over as a seed sequence."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a precomputed seed state holds exactly 4 uint64 words")
+        return self.state
+
+
+def _trace_generators(seed: int, n_traces: int, key=()):
+    """Trace k's generator, the bits of ``np.random.default_rng((seed, k,
+    *key))``, for k = 0 .. n_traces - 1; the seed states are hashed up
+    front and each generator built as it is taken."""
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if n_traces >= 1 << 32:
+        raise ValueError("n_traces must be < 2**32")
+    states = _seed_states(int(seed), np.arange(n_traces), key)
+    return (np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states)
 
 
 def simulate_batch(
@@ -351,13 +439,10 @@ def simulate_batch(
     """
     if n_traces < 1 or n_samples < 1:
         raise ValueError("n_traces and n_samples must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-
+    rngs = _trace_generators(seed, n_traces)
     u = np.empty((n_traces, n_samples))
     y = np.empty((n_traces, n_samples))
-    for k in range(n_traces):
-        rng = np.random.default_rng((int(seed), k))
+    for k, rng in enumerate(rngs):
         rng.random(out=u[k])
         rng.standard_normal(out=y[k])
 
@@ -376,6 +461,19 @@ def simulate_batch(
     labels = (paths[:, 0] % 3).astype(np.int8)
     batch = TraceBatch(dt=params.dt, samples=y, labels=labels)
     return (batch, paths) if return_paths else batch
+
+
+def simulate_backgrounds(n_traces: int, n_samples: int, seed: int, mean: float, std: float) -> np.ndarray:
+    """Background segments, (n_traces, n_samples): ``mean + std * z``, with
+    trace k's standard normals z from its own generator seeded (seed, k, 1),
+    independent of ``simulate_batch``'s draws for (seed, k)."""
+    rngs = _trace_generators(seed, n_traces, key=(1,))
+    out = np.empty((n_traces, n_samples))
+    for k, rng in enumerate(rngs):
+        rng.standard_normal(out=out[k])
+    out *= std
+    out += mean
+    return out
 
 
 def _hidden_paths(u: np.ndarray, cum_pi: np.ndarray, cum_a: np.ndarray) -> np.ndarray:

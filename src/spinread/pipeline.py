@@ -311,8 +311,10 @@ def iq_project(batch: IqBatch, seed: int = 0, n_restarts: int = 10) -> IqProject
         weights = np.array([0.5, 0.5])
         var = float(np.var(x))
         ll_prev = -np.inf
+        # squared distances to the current means: the variance update's d
+        # is the next E-step's
+        d = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         for _ in range(300):
-            d = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
             logp = np.log(weights)[None, :] - d / (2.0 * var) - math.log(2.0 * math.pi * var)
             m = logp.max(axis=1, keepdims=True)
             p = np.exp(logp - m)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import spinread as sr
@@ -60,13 +61,13 @@ def _class_cdf_oracle(x, t, p, mode, basis):
         k = t / t1
         step = (x - p.v_s) / dv
         tail, _ = quad(
-            lambda u: k * math.exp(-k * u) * norm.cdf(x, p.v_s + u * dv, sig),
+            lambda u: k * math.exp(-k * u) * ndtr((x - (p.v_s + u * dv)) / sig),
             0.0, 1.0, points=[step] if 0.0 < step < 1.0 else None,
             limit=200, epsabs=1e-15, epsrel=1e-13,
         )
-        return math.exp(-k) * norm.cdf(x, p.v_t, sig) + tail
+        return math.exp(-k) * ndtr((x - p.v_t) / sig) + tail
 
-    singlet = norm.cdf(x, p.v_s, sig)
+    singlet = ndtr((x - p.v_s) / sig)
     if mode == "two_state":
         return singlet, triplet(p.t1_tm)
     if basis is ReadoutBasis.PARITY:

@@ -320,13 +320,15 @@ class TestPreprocess:
     # hist.csv re-recorded once its averages came from the sweep's
     # cumulative sum (same counts, centres within one ulp of the .mean ones);
     # fit_hmm.json re-recorded once the HMM passes ran in time segments (same
-    # 8 iterations, every number within 3.1e-15 relative of the old one).
+    # 8 iterations, every number within 3.1e-15 relative of the old one),
+    # and again once the one-step matrix was built in closed form (same 8
+    # iterations, every number within 4.6e-15 relative of the old one).
     # fit-hmm's per-iteration wall times are dropped before hashing.
     GOLDEN_READ_FILES = {
         "sweep_threshold.csv": "9b2e4fa50ea84542453c70541416f14ad59174d062e842d8baa33b1e71b2c1e3",
         "sweep_hmm.csv": "4260bf325d4857d044818d3339d2b2637b9ab98cf95e8e5574b456e9c9093b50",
         "classify.csv": "7c86dabae746381fa1e54a96ccc0045865d2e3e4324bb24787974476d155f425",
-        "fit_hmm.json": "98f0cfec90a930d682b8d940edf7b7e0b1e1a6622a93ffc4419148900ae05781",
+        "fit_hmm.json": "1e813b28de77cbc808ec57da04b590761615e8c8e56138de05aa7750f1ac7ac0",
         "hist.csv": "02709b792d135c3f2df9c243c7a84442075ded243f9f579d6738e97b32e84c70",
         "snr.csv": "afc48cea44283732dbb3f4ecd83b201b12941f19e4ac1f2385f1967b77eb6a75",
     }

@@ -123,6 +123,23 @@ class TestTransitionMatrix:
         q_tlf = np.array([[-u, u], [d, -d]])
         assert np.abs(a - np.kron(expm(q_tlf * dt), expm(q_spin * dt))).max() < 1e-14
 
+    def test_closed_form_equals_expm(self):
+        # 2000 random rate sets, then zero rates, one zero fluctuator rate
+        # and gamma * dt up to 50, against scipy's Pade exponential
+        rng = np.random.default_rng(2024)
+        cases = [(rng.uniform(0.0, 5e4, 4), rng.uniform(1e-6, 1e-4)) for _ in range(2000)]
+        cases += [
+            ((0.0, 0.0, 0.0, 0.0), 1e-5), ((2e4, 0.0, 0.0, 0.0), 1e-4),
+            ((0.0, 3e3, 0.0, 0.0), 1e-4), ((2e4, 1e3, 3e4, 0.0), 1e-4),
+            ((2e4, 1e3, 0.0, 3e4), 1e-4), ((5e5, 1e5, 0.0, 0.0), 1e-4),
+            ((5e5, 1e3, 5e5, 0.0), 1e-4), ((5e5, 5e5, 2.5e5, 2.5e5), 1e-4),
+        ]
+        qs = [build_generator(sr.RateSet(*rates)) for rates, _ in cases]
+        a = np.stack([transition_matrix(q, dt) for q, (_, dt) in zip(qs, cases)])
+        ref = expm(np.stack([q * dt for q, (_, dt) in zip(qs, cases)]))
+        assert np.abs(a - ref).max() <= 5e-14
+        np.testing.assert_array_equal(a == 0.0, ref == 0.0)
+
     def test_structural_zeros_exact(self):
         a = transition_matrix(build_generator(sr.RateSet(5e3, 5.0, 40.0, 80.0)), 1e-4)
         assert np.all(a[~_STRUCTURAL_MASK] == 0.0)
@@ -136,6 +153,20 @@ class TestTransitionMatrix:
             transition_matrix(q, 1.0)
         with pytest.raises(ValueError):
             transition_matrix(np.ones((6, 6)), 1.0)
+        # not the model's generator: an extra S->T0 or T0->Tm rate, an
+        # unbalanced diagonal, or the spin block alone
+        model = build_generator(sr.RateSet(5e3, 5.0, 40.0, 80.0))
+        for i, j in [(0, 1), (1, 2)]:
+            q = model.copy()
+            q[i, j] += 10.0
+            q[i, i] -= 10.0
+            with pytest.raises(ValueError, match="generator"):
+                transition_matrix(q, 1e-5)
+        q = model.copy()
+        q[0, 0] -= 1.0
+        for q in (q, model[:3, :3]):
+            with pytest.raises(ValueError, match="generator"):
+                transition_matrix(q, 1e-5)
 
 
 class TestSimulate:

@@ -3,15 +3,19 @@
 The digests were recorded with the per-sample stepping loop that
 ``_hidden_paths`` replaced; ``_stepped_paths`` and ``_stepped_simulate``
 below are copies of that loop. Together they pin the reproducibility
-contract: a seed gives bit-identical samples, labels and paths.
+contract: a seed gives bit-identical samples, labels and paths. The
+seed-state tests check markov's vectorised SeedSequence hash against
+numpy's own, the guard that keeps each trace's generator default_rng's.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spinread as sr
+from spinread import markov
 from spinread.markov import N_STATES, _hidden_paths
 
 T1_T0 = 170e-6
@@ -208,3 +212,53 @@ def test_absorbing_states_and_single_sample():
     paths = _hidden_paths(u, cum_pi, cum_a)
     assert np.all(paths == 0)
     np.testing.assert_array_equal(_hidden_paths(u[:, :1], cum_pi, cum_a), paths[:, :1])
+
+
+# -- seed states ----------------------------------------------------------------
+
+_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5)
+# every k below 2**32 is one entropy word, the case the hash is vectorised for
+_KS = (0, 1, 2**31, 2**32 - 1)
+
+
+@pytest.mark.parametrize("key", [(), (1,)], ids=["readout", "background"])
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_seed_states_equal_seed_sequence(seed, key):
+    got = markov._seed_states(seed, np.array(_KS), key)
+    assert got.dtype == np.uint64 and got.shape == (len(_KS), 4)
+    for k, state in zip(_KS, got):
+        want = np.random.SeedSequence((seed, k, *key)).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(state, want)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])
+def test_seed_state_adapter_rejects_other_requests(n_words, dtype):
+    state = markov._seed_states(3, np.array([0]))[0]
+    adapter = markov._SeedState(state)
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        adapter.generate_state(n_words, dtype)
+    assert adapter.generate_state(4, np.uint64) is state
+
+
+def test_backgrounds_equal_per_trace_generators():
+    # the reference: one default_rng((seed, k, 1)) per trace
+    seed, mean, std = 11, 0.25, 0.3
+    want = np.empty((40, 9))
+    for k in range(40):
+        rng = np.random.default_rng((seed, k, 1))
+        want[k] = mean + std * rng.standard_normal(9)
+    np.testing.assert_array_equal(markov.simulate_backgrounds(40, 9, seed, mean, std), want)
+
+
+def test_batch_of_2_pow_32_traces_raises_before_allocating():
+    params = _reference_point(10e-6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_traces must be < 2\\*\\*32"):
+            sr.simulate_batch(params, 2**32, 1, seed=0)
+        with pytest.raises(ValueError, match="n_traces must be < 2\\*\\*32"):
+            markov.simulate_backgrounds(2**32, 1, 0, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
