@@ -39,7 +39,6 @@ from .pipeline import (
     drift_correct,
     iq_project,
     noise_scaling,
-    with_linear_drift,
 )
 from .readout import ReadoutBasis, _window_means, fidelity_sweep, map_basis
 
@@ -234,7 +233,9 @@ def _cmd_simulate(config, seed, prefix):
         )
     bundle = TraceBundle.from_batch(batch, v0=config["v0"])
     if config["drift_per_trace"] != 0.0:
-        bundle = with_linear_drift(bundle, config["drift_per_trace"])
+        # in place: a drifted copy (pipeline.with_linear_drift) would be the
+        # stage's memory peak; the batch's arrays are not read again
+        bundle.data += config["drift_per_trace"] * np.arange(batch.n_traces)[:, None]
     outputs = list(bundle.save(prefix))
     results = {
         "n_traces": batch.n_traces,

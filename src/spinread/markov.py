@@ -634,9 +634,10 @@ class _Segments:
 
     Segment l holds steps l*S .. l*S + S - 1 and runs as n more traces:
     column l*n + j of every (..., L*n) array is trace j in segment l.
-    ``yt`` (L*S, n) is the chunk in time order and ``y`` (S, L, n) its
-    folded view. The emission factors (:meth:`factors`) have one row per
-    distinct (mean, std) pair, and live state i reads row ``pick[i]``;
+    ``y`` (S, L, n) is the samples' folded view, zero-padded to L*S steps;
+    the emission factors and the E-step's moments (:func:`_smooth`) read
+    it step by step. The emission factors (:meth:`factors`) have one row
+    per distinct (mean, std) pair, and live state i reads row ``pick[i]``;
     ``runs`` groups consecutive live states with one pair. They are built
     from time-major blocks of steps: a forward-only pass builds each block
     as it consumes it, and with ``stored`` the blocks fill ``b`` (S, P,
@@ -657,7 +658,6 @@ class _Segments:
         yt = y.T
         if pad:
             yt = np.concatenate((yt, np.zeros((pad, n))))
-        self.yt = yt
         self.y = yt.reshape(count, span, n).transpose(1, 0, 2)
         self.n, self.span, self.count, self.last = n, span, count, span - pad
         mu, sd, pair_of = _emission_pairs(params.emissions.means, params.emissions.stds)
@@ -899,26 +899,36 @@ def _segment_forward(params: HmmParams, chain, y: np.ndarray, fwd: _Forward) -> 
     return fwd._replace(alphas=alphas, c=c)
 
 
-def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
+def _smooth(a: np.ndarray, fwd: _Forward, centres: np.ndarray | None = None):
     """Backward pass over a stored forward pass ``fwd`` (:func:`_run_chunk`).
 
-    Returns the posteriors gamma (L*S, k, n) in time order, zero at padded
-    steps, and with ``xi`` the expected transition counts (k, k) without
-    the factor a(i, j), else None. The backward variable at the end
-    of segment l-1 is P_l^T times the one at the end of segment l, scaled
-    so that sum alpha * beta = 1 there, as the scaled recursion keeps it at
-    every step. Then all segments run the scaled backward recursion
-    (Rabiner 1989) at once, on the forward variables as the recursion left
-    them, x_s = c_s alpha_s, and carrying beta_s / c_s, so that neither
-    needs a pass of its own: w_s = (beta_s / c_s) b_s / c_{s-1}, with each
-    live state's pair row of b, goes to a (k, cols) scratch, gamma_s =
-    x_s beta_s / c_s over x_s,
+    Without ``centres`` it returns None and leaves the posteriors in
+    ``fwd.alphas``: slot s + 1 holds gamma_s of every segment, (k, L*n),
+    zero at padded steps. With ``centres`` (k,) it leaves alphas as they
+    are and returns the E-step sums, added up as the pass forms each
+    gamma_s: pi (k,), the time-zero occupancy; xi (k, k), the expected
+    transition counts without the factor a(i, j); and moments (k, 3, n),
+    per live state and trace the sums of gamma, gamma * d and gamma * d^2,
+    where d is the sample's deviation from the state's centre. The
+    re-estimation sums run over t in any order (Rabiner 1989), so the
+    moments are summed per column, (k, 3, L*n), step after step, then over
+    the segments, and nothing is put back into time order.
+
+    The backward variable at the end of segment l-1 is P_l^T times the one
+    at the end of segment l, scaled so that sum alpha * beta = 1 there, as
+    the scaled recursion keeps it at every step. Then all segments run the
+    scaled backward recursion (Rabiner 1989) at once, on the forward
+    variables as the recursion left them, x_s = c_s alpha_s, and carrying
+    beta_s / c_s, so that neither needs a pass of its own: w_s = (beta_s /
+    c_s) b_s / c_{s-1}, with each live state's pair row of b, goes to a
+    (k, cols) scratch, gamma_s = x_s beta_s / c_s over x_s,
     beta_{s-1} / c_{s-1} = a w_s, and the counts from step s-1 are
     x_{s-1}(i) a(i, j) w_s(j), with slot 0 of alphas giving alpha at the
     end of the previous segment (c_{-1} = 1). The last segment starts at its
-    last real step with beta = 1; its padded steps have beta = 0. Four
-    numpy calls per step, one more per further run of ``seg.runs`` and one
-    more with ``xi``.
+    last real step with beta = 1; its padded steps have beta = 0, so gamma
+    is 0 there and they add nothing to the sums. Four numpy calls per
+    step, one more per further run of ``seg.runs``, and five more with
+    ``centres``.
     """
     seg, alphas, c, p = fwd.seg, fwd.alphas, fwd.c, fwd.p
     k, n, count = alphas.shape[1], seg.n, seg.count
@@ -936,20 +946,38 @@ def _smooth(a: np.ndarray, fwd: _Forward, xi: bool):
     beta[:, :cut] /= c[-1, :cut]
     b = seg.b
     w = np.empty((k, count * n))
-    step_xi = np.empty((seg.span, k, k)) if xi else None
+    stats = centres is not None
+    if stats:
+        step_xi = np.empty((seg.span, k, k))
+        # step s's terms gamma_s, gamma_s * d_s and gamma_s * d_s^2, and
+        # their running sums over the steps, per column
+        terms = np.empty((k, 3, count * n))
+        gamma, gd, gd2 = terms.transpose(1, 0, 2)
+        sums = np.zeros((k, 3, count * n))
+        d = np.empty((k, count, n))
+        dev = d.reshape(k, count * n)
+        centre = centres[:, None, None]
     for s in range(seg.span - 1, -1, -1):
         if s == seg.last - 1:
             beta[:, cut:] = 1.0 / c[s, cut:]
         ratio = b[s] / c[s - 1] if s else b[0]
         for lo, hi, q in seg.runs:
             np.multiply(ratio[q], beta[lo:hi], out=w[lo:hi])
-        if xi:
+        if stats:
             np.matmul(alphas[s], w.T, out=step_xi[s])
-        alphas[s + 1] *= beta
+            np.multiply(alphas[s + 1], beta, out=gamma)
+            np.subtract(seg.y[s], centre, out=d)
+            np.multiply(gamma, dev, out=gd)
+            np.multiply(gd, dev, out=gd2)
+            sums += terms
+        else:
+            alphas[s + 1] *= beta
         beta = a @ w
-    # (S, k, L, n) to time order; one copy is cheaper than strided writes
-    gamma = alphas[1:].reshape(seg.span, k, count, n).transpose(2, 0, 1, 3).reshape(-1, k, n)
-    return gamma, step_xi.sum(axis=0) if xi else None
+    if not stats:
+        return None
+    # gamma_0 of segment 0 is the time-zero posterior
+    pi = gamma[:, :n].sum(axis=1)
+    return pi, step_xi.sum(axis=0), sums.reshape(k, 3, count, n).sum(axis=2)
 
 
 def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = None) -> Posterior:
@@ -964,7 +992,9 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     live, _, a = chain
     y = trace.samples[np.newaxis, :n_window]
     fwd = _segment_forward(params, chain, y, _run_chunk(params, chain, y, log_lik=True, stored=True))
-    gamma = _smooth(a, fwd, xi=False)[0][:n_window, :, 0]
+    _smooth(a, fwd)
+    # one trace's gamma, (S, k, L) segment-major, to time order
+    gamma = fwd.alphas[1:].transpose(2, 0, 1).reshape(-1, live.size)[:n_window]
     probs = np.zeros((n_window, N_STATES))
     probs[:, live] = gamma / gamma.sum(axis=1, keepdims=True)
     return Posterior(probs=probs, log_likelihood=fwd.total_log_lik())
@@ -1139,25 +1169,6 @@ def _rates_from_counts(xi: np.ndarray, dt: float, rates: RateSet, freeze_tlf_rat
     )
 
 
-def _smoothed_statistics(a: np.ndarray, fwd: _Forward, centres: np.ndarray):
-    """One chunk's E-step sums from its stored forward pass: (pi, xi, moments).
-
-    Runs the backward pass (:func:`_smooth`), spending the pass. pi is the
-    time-zero occupancy (k,); xi (k, k) the expected transition counts
-    without the factor a(i, j), applied once by the caller. moments (k, 3)
-    holds, per live state s, the sums over the chunk of gamma, gamma * d
-    and gamma * d^2, where d is the sample's deviation from ``centres[s]``.
-    """
-    gamma, xi = _smooth(a, fwd, xi=True)
-    # the samples in time order, as gamma: (L*S, n)
-    y = fwd.seg.yt
-    moments = np.empty((len(centres), 3))
-    for s, centre in enumerate(centres):
-        g, d = gamma[:, s], np.subtract(y, centre, order="C")
-        moments[s] = g.sum(), np.einsum("tn,tn->", g, d), np.einsum("tn,tn,tn->", g, d, d)
-    return gamma[0].sum(axis=1), xi, moments
-
-
 @dataclass
 class EmFitResult:
     params: HmmParams
@@ -1195,14 +1206,16 @@ def em_fit(
     digits. ``freeze_tlf_rates`` keeps the fluctuator rates of ``init`` at
     every iteration. ``init.dt`` must be the batch's dt.
 
-    Each trace chunk is copied into time order once per fit, for the
-    emission factors and the moments. The last chunk runs only its
-    transfers and stitch, or its one-segment forward pass, before the
-    convergence test; its in-segment forward pass and its smoothing follow
-    only if the fit goes on, so a converged E-step on one chunk runs the
-    log-likelihood alone. A converged fit returns the parameters its last
-    E-step scored, so
-    ``final_log_likelihood`` is the last entry of ``log_likelihoods``. A
+    Each trace chunk is copied into time order once per fit, so that a
+    step of its folded samples, which the emission factors and the moments
+    read, is L runs of adjacent floats. The E-step adds its sums up inside
+    the backward pass (:func:`_smooth`) and builds no posteriors in time
+    order, only per-trace sums. The last chunk runs only its transfers and
+    stitch, or its one-segment forward pass, before the convergence test;
+    its in-segment forward pass and its smoothing follow only if the fit
+    goes on, so a converged E-step on one chunk runs the log-likelihood
+    alone. A converged fit returns the parameters its last E-step scored,
+    so ``final_log_likelihood`` is the last entry of ``log_likelihoods``. A
     fit stopped at ``max_iter`` returns one more M-step's parameters and
     scores them with one more forward pass (None if their likelihood
     vanishes).
@@ -1246,13 +1259,16 @@ def em_fit(
             # the last chunk's in-segment forward pass waits for the
             # convergence test
             if i < len(chunks):
-                stats.append(_smoothed_statistics(a_live, _segment_forward(params, chain, y, fwd), centres))
+                stats.append(_smooth(a_live, _segment_forward(params, chain, y, fwd), centres))
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
             converged = True
             break
-        stats.append(_smoothed_statistics(a_live, _segment_forward(params, chain, y, fwd), centres))
-        pi_sum, xi_sum, moments = (sum(parts) for parts in zip(*stats))
+        stats.append(_smooth(a_live, _segment_forward(params, chain, y, fwd), centres))
+        pis, xis, per_trace = zip(*stats)
+        pi_sum, xi_sum = sum(pis), sum(xis)
+        # each chunk's per-trace moment columns (k, 3, n) over its traces
+        moments = sum(m.sum(axis=2) for m in per_trace)
 
         # back to all six states; the others have no mass. xi entries lack
         # the factor a(i, j) of each expected transition; apply it once

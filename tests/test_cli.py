@@ -322,13 +322,15 @@ class TestPreprocess:
     # fit_hmm.json re-recorded once the HMM passes ran in time segments (same
     # 8 iterations, every number within 3.1e-15 relative of the old one),
     # and again once the one-step matrix was built in closed form (same 8
-    # iterations, every number within 4.6e-15 relative of the old one).
+    # iterations, every number within 4.6e-15 relative of the old one), and
+    # once the E-step summed its emission moments inside the backward pass
+    # (same 8 iterations, every number within 4.5e-15 relative).
     # fit-hmm's per-iteration wall times are dropped before hashing.
     GOLDEN_READ_FILES = {
         "sweep_threshold.csv": "9b2e4fa50ea84542453c70541416f14ad59174d062e842d8baa33b1e71b2c1e3",
         "sweep_hmm.csv": "4260bf325d4857d044818d3339d2b2637b9ab98cf95e8e5574b456e9c9093b50",
         "classify.csv": "7c86dabae746381fa1e54a96ccc0045865d2e3e4324bb24787974476d155f425",
-        "fit_hmm.json": "1e813b28de77cbc808ec57da04b590761615e8c8e56138de05aa7750f1ac7ac0",
+        "fit_hmm.json": "2e010ce1b8d9958512dfcc705fce8018f3538acafec5e20d5ee3d28c8fb499ab",
         "hist.csv": "02709b792d135c3f2df9c243c7a84442075ded243f9f579d6738e97b32e84c70",
         "snr.csv": "afc48cea44283732dbb3f4ecd83b201b12941f19e4ac1f2385f1967b77eb6a75",
     }

@@ -925,6 +925,41 @@ class TestForwardOnlyMemory:
         assert peaks[0] <= peaks[1] + 1e6
 
 
+class TestEmMemory:
+    """The E-step adds its emission moments up inside the backward pass, so
+    em_fit holds one trace chunk's stored pass and a few (k, L*n) scratch
+    arrays, and no posteriors or deviations in time order. At 150 x 4200
+    (42 segments of 100 steps, k = 3 live states, P = 2 Gaussians) over two
+    iterations its tracemalloc peak above its time-major copy of the batch
+    is 1.31 times the chunk's stored emission factors b (S, P, L*n) and
+    forward variables alphas (S + 1, k, L*n); it was 2.23 times while the
+    E-step copied the posteriors (T, k, n) into time order and took
+    (T, n) deviations from them."""
+
+    def test_em_fit_peak_is_one_chunks_stored_pass(self):
+        truth = _reference_params(40e-6)
+        init = sr.HmmParams.from_spin_model(
+            [1 / 3, 1 / 3, 1 / 3], sr.RateSet(1.5 / 170e-6, 0.5 / 290e-3), dt=truth.dt,
+            std=0.4, v_singlet=-0.05, v_triplet=1.05,
+        )
+        batch = sr.simulate_batch(truth, 150, 4200, seed=71)
+        n, t_len = batch.samples.shape
+        k = markov._live_states(init.pi, init.a).size
+        span = -(-t_len // markov._segment_count(k, n, t_len))
+        count = -(-t_len // span)
+        assert count > 1 and span > 1
+        assert sum(1 for _ in markov._trace_chunks(n, t_len)) == 1
+        pairs = markov._emission_pairs(init.emissions.means, init.emissions.stds)[0].size
+        stored = 8 * count * n * (span * pairs + (span + 1) * k)
+        tracemalloc.start()
+        try:
+            sr.em_fit(batch, init, max_iter=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - batch.samples.nbytes < 1.5 * stored
+
+
 class TestLogLikelihood:
     def test_single_sample_mixture_density(self):
         rng = np.random.default_rng(11)

@@ -191,9 +191,29 @@ def test_smoothed_statistics(name, segmenting):
     expected = _ref_smoothed_statistics(a, yt, b, alphas, c, centres)[:3]
     fwd = markov._run_chunk(params, chain, y, log_lik=True, stored=True)
     np.testing.assert_allclose(fwd.total_log_lik(), ll.sum(), **RTOL)
-    got = markov._smoothed_statistics(a, markov._segment_forward(params, chain, y, fwd), centres)
-    for g, e in zip(got, expected):
+    pi, xi, per_trace = markov._smooth(a, markov._segment_forward(params, chain, y, fwd), centres)
+    # the per-trace moment columns add up to the chunk's
+    for g, e in zip((pi, xi, per_trace.sum(axis=2)), expected):
         np.testing.assert_allclose(g, e, **RTOL)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_per_trace_moments(name, segmenting):
+    """The backward pass's per-trace moment columns, trace by trace against
+    the reference posteriors, each within 1e-12 of the sum of its terms'
+    magnitudes."""
+    params, y = _case(name)
+    chain, yt, b, alphas, c, ll = _ref_chunk(params, y)
+    live, _, a = chain
+    centres = params.emissions.means[live] + 0.01
+    gamma = _ref_smoothed_statistics(a, yt, b, alphas, c, centres)[3]
+    d = yt[:, None, :] - centres[:, None]
+    terms = np.stack([gamma, gamma * d, gamma * d * d], axis=2)
+    fwd = markov._run_chunk(params, chain, y, log_lik=True, stored=True)
+    per_trace = markov._smooth(a, markov._segment_forward(params, chain, y, fwd), centres)[2]
+    assert per_trace.shape == (live.size, 3, y.shape[0])
+    error = np.abs(per_trace - terms.sum(axis=0))
+    assert np.all(error <= 1e-12 * np.abs(terms).sum(axis=0) + 1e-290)
 
 
 @pytest.mark.parametrize("name", ["reference_n1_prime", "switching_untied_padded"])
@@ -446,15 +466,20 @@ def _golden_outputs(name):
 # one or two ulps, and every digest of a posterior, a log-likelihood or
 # em_fit.params that moved with them was re-recorded; an old-vs-new check
 # found posteriors within 1.2e-15, log-likelihoods within 3e-16 relative
-# and fitted parameters within 9e-15 relative. No n_iterations changed
+# and fitted parameters within 9e-15 relative. No n_iterations changed.
+# Once the E-step summed its emission moments inside the backward pass,
+# per column and step, then over segments and traces, every em_fit.params
+# and em_fit.log_likelihoods digest was re-recorded; an old-vs-new check
+# found parameters within 4.0e-15 and log-likelihoods within 4.1e-16
+# relative, with the same three iterations in every case
 GOLDEN_OUTPUTS = {
     ("reference_150x4200", "segmented"): {
         "start_posteriors_at": "3468b8b3c6579fd429b2f4c9cd926e06285cfa1ffeb5751ea5b27210d9835231",
         "start_posterior_batch.gamma0": "9b9a74aa8408d3e3abe51b3b0619cad99ad9113485d026db448b44c380c8edfe",
         "start_posterior_batch.log_lik": "3422134bda81997c12646b6486c62ce0052fe705c33416ff79435acdcd236010",
         "log_likelihood": "453cf001d6cc8dfd04d3cd9e72edb92c095f179ae0afec90be97abe73b4416a7",
-        "em_fit.params": "c8448a6cfc138adfa85f3eb98ccff02152072efbb90b125d80b7d701f6dd3945",
-        "em_fit.log_likelihoods": "b49be6a4d54d9af8e6395921a75ed2bf400574cf1d77781fafa57b1fff7fd4e4",
+        "em_fit.params": "33af3c73832ceda0c31e0dcedfc9d84b2afbcd291faa065af6d1a4fc346f9e29",
+        "em_fit.log_likelihoods": "cce9d4ca0883246343fb03548615659723318f4bd7503aa46052aa09f5e35a37",
         "em_fit.n_iterations": 3,
     },
     ("reference_150x4200", "one_segment"): {
@@ -462,9 +487,9 @@ GOLDEN_OUTPUTS = {
         "start_posterior_batch.gamma0": "23562ae73fbc15fefb3eae15a5f33af927cb26a071a1812e223630f27b694b4e",
         "start_posterior_batch.log_lik": "b3cdb71305ea3555f2bbe70b24b985ee7204b45b4b2413591d0e93dbcca77be1",
         "log_likelihood": "d0529d3b4bc575a6705d106e1513fa3ae11d1142a61713d034a2c1c49a397fe2",
-        "em_fit.params": "aeb4d9a1d292b92ebf8d007c54db5d710707d6ad3ae4f6affdbe8854f0c3854d",
+        "em_fit.params": "63f7ee524870835c160dc8af2fa582b180f746b0e44e08540e9108c73fb0721c",
         # re-recorded
-        "em_fit.log_likelihoods": "8233606c0d044961151945aa3425bfdf9542071a13e03213d2708eac087d1c5d",
+        "em_fit.log_likelihoods": "4e03a973179832aaf1305cd3fb23e856f8ed59c60b0ebd835cdc0553cbd36739",
         "em_fit.n_iterations": 3,
     },
     ("switching_tied_padded", "segmented"): {
@@ -472,8 +497,8 @@ GOLDEN_OUTPUTS = {
         "start_posterior_batch.gamma0": "fb17bcf56395f0534a5e2f22cc09de9883b9562aef54c74fd708e18836fef27f",
         "start_posterior_batch.log_lik": "280a238211f751e53da60856f9a5c53bc564238a563dbacc569c86218b8451f7",
         "log_likelihood": "a9beb7490052b9da62f9fce2080be8ef88abfb4ba93b79c8c950c3977082f513",
-        "em_fit.params": "2613970bf80589b4cd1b2156855f1384f448510088549014bf4f8fb7a729e5cd",
-        "em_fit.log_likelihoods": "fbaa3b9ed4a9ea84bd4fbf85202239581eaa09abcdcb300906645bbcba276aec",
+        "em_fit.params": "748fdd1f957200e3d9a751c5ac9c8225d3313d5dde2d726703c0b1fb248247cb",
+        "em_fit.log_likelihoods": "110d6433e3bc8b538d03db9c21dfa84f099c6842adc4e2914a032e8aa4980fda",
         "em_fit.n_iterations": 3,
     },
     ("switching_tied_padded", "one_segment"): {
@@ -482,9 +507,9 @@ GOLDEN_OUTPUTS = {
         "start_posterior_batch.log_lik": "9bb25096082ea6252458d7b6521dd5dc67d0c2c697e8098b332cd2d043dfb1ad",
         # re-recorded
         "log_likelihood": "a9beb7490052b9da62f9fce2080be8ef88abfb4ba93b79c8c950c3977082f513",
-        "em_fit.params": "d2376a6b9ee54c41a7c8e21a0e096dabb0ad4c6d2bb9ce27f141791b2e128041",
+        "em_fit.params": "f966fa2a564183e0c8dfe552ecddc8eee81d4c5763e69a135dc3a52d045b6ddb",
         # re-recorded
-        "em_fit.log_likelihoods": "b0e4f6f69eea11016a4785867ed3bc94ad0ceabb91491c55cc38190367c01946",
+        "em_fit.log_likelihoods": "41fd4e70f130c37d2100f81e7cf34e4e323ce5dec50bf6d9dc3c313659664521",
         "em_fit.n_iterations": 3,
     },
 }
