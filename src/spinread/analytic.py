@@ -20,7 +20,7 @@ from scipy.integrate import quad  # noqa: F401  not called; perfbench's tracer p
 from scipy.optimize import minimize_scalar
 from scipy.special import erf, erfcx, ndtr
 
-from .fitting import least_squares_damped, poisson_weights
+from .fitting import _weighted_fit, poisson_weights
 from .readout import ReadoutBasis
 
 _SQRT2 = math.sqrt(2.0)
@@ -332,12 +332,11 @@ def fit_histogram(
             (1e-8, 1e3), (1e-8, 1e3), (1e-9, 1.0 - 1e-9), (1e-9, 1.0 - 1e-9),
         ]
 
-    sqrt_w = np.sqrt(poisson_weights(counts))
+    def predict(centers, theta):
+        return combined_density(centers, t, to_density(theta), mode) * total * bin_width
 
-    def residual(theta):
-        dp = to_density(theta)
-        pred = combined_density(bin_centers, t, dp, mode) * total * bin_width
-        return sqrt_w * (pred - counts)
-
-    result = least_squares_damped(residual, x0, bounds, max_iterations=max_iterations)
+    result = _weighted_fit(
+        predict, bin_centers, counts, poisson_weights(counts), x0, bounds, max_iterations,
+        names=("bin_centers", "counts"),
+    )
     return to_density(result.params), result

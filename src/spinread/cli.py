@@ -293,6 +293,14 @@ def _cmd_sweep(config, seed, prefix):
     return results, [csv_path]
 
 
+def _fit_outputs(prefix, payload, results, what):
+    """Write a fit's JSON; one that did not converge still writes it, then exits 4."""
+    path = _write_json(prefix + ".json", payload)
+    if not results["converged"]:
+        raise NonConvergenceError(f"{what} did not converge", results, [path])
+    return results, [path]
+
+
 def _cmd_fit_hmm(config, seed, prefix):
     bundle = _require_bundle(config["input"])
     init = _hmm_from_config(config["init"])
@@ -315,11 +323,8 @@ def _cmd_fit_hmm(config, seed, prefix):
         "variance_floored": fit.variance_floored,
         "iteration_seconds": fit.iteration_seconds,
     }
-    path = _write_json(prefix + ".json", payload)
     results = {"converged": fit.converged, "n_iterations": fit.n_iterations}
-    if not fit.converged:
-        raise NonConvergenceError("EM did not converge", results, [path])
-    return results, [path]
+    return _fit_outputs(prefix, payload, results, "EM")
 
 
 def _cmd_fit_histogram(config, seed, prefix):
@@ -343,11 +348,8 @@ def _cmd_fit_histogram(config, seed, prefix):
             "status": fit.status,
         },
     }
-    path = _write_json(prefix + ".json", payload)
     results = {"converged": fit.converged, "residual_norm": fit.residual_norm}
-    if not fit.converged:
-        raise NonConvergenceError("histogram fit did not converge", results, [path])
-    return results, [path]
+    return _fit_outputs(prefix, payload, results, "histogram fit")
 
 
 def _cmd_fit_physics(config, seed, prefix):
@@ -367,11 +369,8 @@ def _cmd_fit_physics(config, seed, prefix):
         "converged": fit.converged,
         "status": fit.status,
     }
-    path = _write_json(prefix + ".json", payload)
     results = {"converged": fit.converged, "residual_norm": fit.residual_norm}
-    if not fit.converged:
-        raise NonConvergenceError("physics fit did not converge", results, [path])
-    return results, [path]
+    return _fit_outputs(prefix, payload, results, "physics fit")
 
 
 def _cmd_snr(config, seed, prefix):

@@ -1,8 +1,7 @@
-"""Physical constants (CODATA 2018, exact SI values) and unit helpers.
+"""Physical constants (CODATA 2018, exact SI values).
 
 All internal computation is in SI (J, s, Hz, V, K, F). Values quoted in
-lab units (neV, mK, GHz, ...) are converted at call boundaries with the
-helpers below.
+lab units (neV, mK, GHz, ...) are converted at call boundaries.
 """
 
 import math
@@ -11,26 +10,3 @@ E_CHARGE = 1.602176634e-19  # C
 PLANCK_H = 6.62607015e-34  # J s
 HBAR = PLANCK_H / (2.0 * math.pi)  # J s
 K_BOLTZMANN = 1.380649e-23  # J / K
-
-# unit multipliers into SI
-GHZ = 1e9
-MHZ = 1e6
-KHZ = 1e3
-US = 1e-6
-MS = 1e-3
-NS = 1e-9
-MV = 1e-3
-MK = 1e-3
-PF = 1e-12
-NH = 1e-9
-EV = E_CHARGE  # 1 eV in joules
-UEV = 1e-6 * E_CHARGE
-NEV = 1e-9 * E_CHARGE
-
-
-def ev_to_joule(value_ev: float) -> float:
-    return value_ev * E_CHARGE
-
-
-def joule_to_ev(value_j: float) -> float:
-    return value_j / E_CHARGE

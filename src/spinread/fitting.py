@@ -2,8 +2,8 @@
 
 One engine backs every curve fit in the package. Physics lineshapes and
 transition-probability curves register a :class:`PhysicsModel` and go
-through :func:`fit_model`; ``analytic.fit_histogram`` calls
-:func:`least_squares_damped` directly.
+through :func:`fit_model`; ``analytic.fit_histogram`` shares its weighted
+residual (:func:`_weighted_fit`).
 """
 
 from __future__ import annotations
@@ -16,6 +16,10 @@ import numpy as np
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_SINGULAR_JACOBIAN = "singular_jacobian"
+
+# an accepted step converges when its relative step or cost change is below
+STEP_TOL = 1e-8
+COST_TOL = 1e-10
 
 
 @dataclass
@@ -98,14 +102,18 @@ def least_squares_damped(
     x0: Sequence[float],
     bounds: Sequence[tuple[float, float]],
     max_iterations: int = 200,
-    step_tol: float = 1e-8,
-    cost_tol: float = 1e-10,
 ) -> FitResult:
     """Minimise ||residual_fn(x)||^2 over the box given by ``bounds``.
 
     Classic Marquardt damping on the normal equations; proposed steps are
-    clipped to the box. Convergence when the relative parameter step falls
-    below ``step_tol`` or the relative cost change below ``cost_tol``.
+    clipped to the box. The stops, in the order tested: a non-finite or
+    all-zero J^T J is ``singular_jacobian``; a zero gradient is
+    ``converged``; a failed damped solve is ``singular_jacobian``; an
+    accepted step whose relative parameter change is below ``STEP_TOL`` or
+    relative cost change below ``COST_TOL`` is ``converged``; a search in
+    which no damped step lowers the cost reports ``max_iterations``, as
+    does running out of iterations. Sigmas that cannot be formed at the
+    returned point make the status ``singular_jacobian``.
     """
     x = np.asarray(x0, dtype=float).copy()
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -115,23 +123,19 @@ def least_squares_damped(
 
     r = residual_fn(x)
     cost = float(r @ r)
+    jac = _jacobian(residual_fn, x, r, lo, hi)  # always the Jacobian at x
     lam = 1e-3  # dimensionless Marquardt damping on diag(J^T J)
     status = STATUS_MAX_ITERATIONS
-    converged = False
     n_iter = 0
-    singular = False
 
     for n_iter in range(1, max_iterations + 1):
-        jac = _jacobian(residual_fn, x, r, lo, hi)
         hess = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(hess).copy()
         if not np.all(np.isfinite(hess)) or np.max(diag) <= 0.0:
-            singular = True
+            status = STATUS_SINGULAR_JACOBIAN
             break
-        # zero-gradient fixed point (e.g. started on noiseless truth)
         if np.max(np.abs(grad)) == 0.0:
-            converged = True
             status = STATUS_CONVERGED
             break
         diag_floor = np.maximum(diag, 1e-32 * np.max(diag))
@@ -141,12 +145,11 @@ def least_squares_damped(
         hess_s = hess / np.outer(scale, scale)
         grad_s = grad / scale
 
-        accepted = False
         while lam < 1e15:
             try:
                 z = np.linalg.solve(hess_s + lam * np.diag(np.diag(hess_s)), -grad_s)
             except np.linalg.LinAlgError:
-                singular = True
+                status = STATUS_SINGULAR_JACOBIAN
                 break
             delta = z / scale
             x_new = np.clip(x + delta, lo, hi)
@@ -157,42 +160,37 @@ def least_squares_damped(
                 rel_step = np.max(np.abs(actual_step) / (np.abs(x) + 1e-300))
                 rel_cost = abs(cost - cost_new) / max(cost, 1e-300)
                 x, r, cost = x_new, r_new, cost_new
+                jac = _jacobian(residual_fn, x, r, lo, hi)
                 lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if rel_step < step_tol or rel_cost < cost_tol:
-                    converged = True
+                if rel_step < STEP_TOL or rel_cost < COST_TOL:
                     status = STATUS_CONVERGED
                 break
             lam *= 4.0
-        if singular or converged or not accepted:
+        else:
+            break  # no damped step lowered the cost
+        if status != STATUS_MAX_ITERATIONS:
             break
 
-    if singular:
-        status = STATUS_SINGULAR_JACOBIAN
-        converged = False
-
-    sigmas = _parameter_sigmas(residual_fn, x, r, lo, hi)
+    sigmas = _parameter_sigmas(jac, r)
     if sigmas is None:
         status = STATUS_SINGULAR_JACOBIAN
-        converged = False
         sigmas = np.full(x.size, np.nan)
     return FitResult(
         params=x,
         sigmas=sigmas,
         residual_norm=float(np.linalg.norm(r)),
         n_iterations=n_iter,
-        converged=converged,
+        converged=status == STATUS_CONVERGED,
         status=status,
     )
 
 
-def _parameter_sigmas(residual_fn, x, r, lo, hi):
+def _parameter_sigmas(jac, r):
     """1-sigma uncertainties from (J^T J)^-1 scaled by reduced chi-square.
 
     Conditioning is judged on the column-scaled (correlation-like) matrix,
     which is invariant to parameter units.
     """
-    jac = _jacobian(residual_fn, x, r, lo, hi)
     hess = jac.T @ jac
     m, p = jac.shape
     if not np.all(np.isfinite(hess)):
@@ -223,9 +221,9 @@ def fit_model(
 
     ``init`` holds one value per model parameter. ``weights`` are inverse
     variances (unit weights by default; use :func:`poisson_weights` for
-    count data). Non-convergence within
-    ``max_iterations`` returns a result with ``converged=False``; a
-    singular Jacobian is reported through ``status``.
+    count data). Non-finite x, y or weights raise ``ValueError``.
+    Non-convergence within ``max_iterations`` returns a result with
+    ``converged=False``; a singular Jacobian is reported through ``status``.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -240,18 +238,27 @@ def fit_model(
             f"model {model.model_id!r} takes {model.n_params} parameters "
             f"({', '.join(model.param_names)}), init has {np.size(init)}"
         )
+    return _weighted_fit(model, x, y, weights, init, model.bounds, max_iterations)
+
+
+def _weighted_fit(fn, x, y, weights, x0, bounds, max_iterations, names=("x", "y")):
+    """Fit fn(x, theta) to y, residuals sqrt(weights) * (fn(x, theta) - y) with
+    ``weights`` inverse variances (unit when None); ``names`` name x and y."""
+    for name, values in zip(names, (x, y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if weights is None:
         sqrt_w = np.ones_like(y)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape or np.any(w < 0):
-            raise ValueError("weights must be non-negative and match y")
+        if w.shape != y.shape or not np.all((w >= 0) & (w < np.inf)):
+            raise ValueError("weights must be finite, non-negative and match y")
         sqrt_w = np.sqrt(w)
 
     def residual(theta):
-        return sqrt_w * (model(x, theta) - y)
+        return sqrt_w * (fn(x, theta) - y)
 
-    return least_squares_damped(residual, init, model.bounds, max_iterations=max_iterations)
+    return least_squares_damped(residual, x0, bounds, max_iterations=max_iterations)
 
 
 def poisson_weights(counts: Sequence[float]) -> np.ndarray:

@@ -293,6 +293,8 @@ def iq_project(batch: IqBatch, seed: int = 0, n_restarts: int = 10) -> IqProject
     the midpoint, the mean separation, the pooled per-axis std and their
     ratio as SNR.
     """
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be >= 1")
     x = batch.values
     n = x.shape[0]
     rng = np.random.default_rng(seed)

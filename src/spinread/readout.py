@@ -23,9 +23,9 @@ from .markov import (
     TraceBatch,
     _check_dt,
     _spin_codes,
+    _start_posteriors,
     _window_samples,
     start_posterior_batch,
-    start_posteriors_at,
 )
 
 
@@ -277,7 +277,8 @@ def fidelity_sweep(
         windows = [_window_samples(batch.dt, batch.n_samples, t) for t in t_read_list]
         ends = sorted(set(windows))
         if len(ends) > 1:
-            gamma0 = start_posteriors_at(params, batch.samples, ends)
+            # the batch checked its samples and _window_samples the ends
+            gamma0 = _start_posteriors(params, batch.samples, ends)[0]
             classified = {n: _spin_labels(g) for n, g in zip(ends, gamma0)}
         else:
             classified = {

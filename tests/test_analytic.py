@@ -675,3 +675,15 @@ class TestFitHistogram:
         init = _params()
         with pytest.raises(ValueError):
             fit_histogram([0.0, 1.0], [5, 5], 1e-4, "two_state", init)
+
+    @pytest.mark.parametrize("which, index, value", [
+        ("counts", 30, np.nan), ("bin_centers", 60, np.inf), ("bin_centers", 30, np.nan),
+    ])
+    def test_non_finite_data_rejected(self, which, index, value):
+        t = 1e-4
+        centers = np.linspace(-0.5, 1.5, 61)
+        counts = np.round(1000 * combined_density(centers, t, _params(t=t), "two_state"))
+        data = {"bin_centers": centers, "counts": counts}
+        data[which][index] = value
+        with pytest.raises(ValueError, match=f"{which} must be finite"):
+            fit_histogram(centers, counts, t, "two_state", _params(t=t))

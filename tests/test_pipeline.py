@@ -169,6 +169,13 @@ class TestIqProject:
         with pytest.raises(ValueError):
             IqBatch(np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("n_restarts", [0, -1])
+    def test_no_restart_rejected(self, n_restarts):
+        rng = np.random.default_rng(9)
+        pts = np.vstack([rng.normal([0, 0], 0.1, (50, 2)), rng.normal([1, 0], 0.1, (50, 2))])
+        with pytest.raises(ValueError, match="n_restarts must be >= 1"):
+            iq_project(IqBatch(pts), n_restarts=n_restarts)
+
 
 class TestHistogram:
     def test_identical_values_single_bin(self):
