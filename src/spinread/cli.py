@@ -470,8 +470,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one serves every call
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     report = {
         "command": args.command,

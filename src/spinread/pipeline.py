@@ -267,6 +267,8 @@ class IqBatch:
         values = np.ascontiguousarray(np.asarray(values, dtype=float))
         if values.ndim != 2 or values.shape[1] != 2 or values.shape[0] < 2:
             raise ValueError("IqBatch needs an (n, 2) matrix with n >= 2")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("IqBatch values must be finite")
         self.values = values
 
     def __len__(self) -> int:
@@ -284,14 +286,26 @@ class IqProjection:
     log_likelihood: float
 
 
+# restarts whose log-likelihoods differ by less than this (relative) have
+# reached one optimum, and the first of them is kept: 1000x EM's own stop
+# tolerance, so rounding cannot pick among them
+_RESTART_LL_RTOL = 1e-9
+
+
 def iq_project(batch: IqBatch, seed: int = 0, n_restarts: int = 10) -> IqProjection:
     """Project I/Q data onto the axis joining two fitted cluster centres.
 
     A two-component Gaussian mixture with a shared isotropic covariance is
     fitted by EM (distance-weighted seeding, ``n_restarts`` restarts); the
-    projection axis joins the two means. Returns signed projections about
-    the midpoint, the mean separation, the pooled per-axis std and their
-    ratio as SNR.
+    projection axis joins the two means. EM holds the points as one
+    contiguous row per axis and every per-component quantity (squared
+    distances, log-probabilities, responsibilities) as a (2, n) array, so
+    each step runs over rows of n values. The kept restart is the first
+    whose log-likelihood is within 1e-9 relative of the best, and the
+    component order (``means``, ``weights`` and the sign of ``projected``)
+    follows that restart's seeding. Returns signed projections about the
+    midpoint, the mean separation, the pooled per-axis std and their ratio
+    as SNR.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
@@ -301,8 +315,13 @@ def iq_project(batch: IqBatch, seed: int = 0, n_restarts: int = 10) -> IqProject
     scale = float(np.std(x))
     if scale == 0.0:
         raise ValueError("degenerate batch: all points identical")
+    xt = np.ascontiguousarray(x.T)
 
-    best = None
+    def sq_dist(means):
+        # (2, n): squared distance of every point to each mean
+        return (xt[0] - means[:, :1]) ** 2 + (xt[1] - means[:, 1:]) ** 2
+
+    fits = []
     for _ in range(n_restarts):
         m0 = x[rng.integers(n)]
         d2 = ((x - m0) ** 2).sum(axis=1)
@@ -313,29 +332,30 @@ def iq_project(batch: IqBatch, seed: int = 0, n_restarts: int = 10) -> IqProject
         weights = np.array([0.5, 0.5])
         var = float(np.var(x))
         ll_prev = -np.inf
-        # squared distances to the current means: the variance update's d
-        # is the next E-step's
-        d = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        # the variance update's d is the next E-step's
+        d = sq_dist(means)
         for _ in range(300):
-            logp = np.log(weights)[None, :] - d / (2.0 * var) - math.log(2.0 * math.pi * var)
-            m = logp.max(axis=1, keepdims=True)
+            logp = np.log(weights)[:, None] - d / (2.0 * var) - math.log(2.0 * math.pi * var)
+            m = np.maximum(logp[0], logp[1])
             p = np.exp(logp - m)
-            norm = p.sum(axis=1, keepdims=True)
+            norm = p[0] + p[1]
             resp = p / norm
-            ll = float((np.log(norm[:, 0]) + m[:, 0]).sum())
-            wsum = resp.sum(axis=0)
+            ll = float((np.log(norm) + m).sum())
+            wsum = resp.sum(axis=1)
             weights = wsum / n
-            means = (resp.T @ x) / wsum[:, None]
-            d = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+            means = (resp @ x) / wsum[:, None]
+            d = sq_dist(means)
             var = float((resp * d).sum() / (2.0 * n))
             var = max(var, 1e-30 * scale**2)
             if abs(ll - ll_prev) < 1e-12 * max(abs(ll), 1.0):
                 break
             ll_prev = ll
-        if best is None or ll > best[0]:
-            best = (ll, means.copy(), weights.copy(), var)
+        fits.append((ll, means, weights, var))
 
-    ll, means, weights, var = best
+    best = max(fits, key=lambda fit: fit[0])
+    floor = best[0] - _RESTART_LL_RTOL * max(abs(best[0]), 1.0)
+    # a NaN best leaves no restart above the floor, and is kept
+    ll, means, weights, var = next((fit for fit in fits if fit[0] >= floor), best)
     sep = means[1] - means[0]
     delta_v = float(np.linalg.norm(sep))
     # a lone cluster split in two lands at sub-sigma separation

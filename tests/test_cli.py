@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1030,3 +1032,32 @@ def test_non_finite_v0_exits_2_and_writes_nothing(tmp_path, capsys, v0):
     assert code == 2 and report is None
     assert "v0" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_two_calls_in_one_process_do_not_share_arguments(tmp_path, capsys):
+    config = _write_config(tmp_path, "emit.json", _CAPACITANCE)
+    out = str(tmp_path / "out")
+    code, first, _ = _run(capsys, ["emit", "--config", config, "--set", "n_points=5", "--seed", "4", "--out", out])
+    assert code == 0 and first["seed"] == 4 and first["config"]["n_points"] == 5
+    code, second, _ = _run(capsys, ["emit", "--config", config, "--out", out])
+    assert code == 0 and second["seed"] is None and second["config"]["n_points"] == 512
+    assert second["results"] == {"n_points": 512}
+
+
+# --help of the program and of each command, and the usage error for an
+# unknown command, as printed at COLUMNS=80 when every call built its own
+# parser; argparse lays these out differently in other Python versions
+_HELP_RECORD = Path(__file__).with_name("cli_help_py311.json")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11's argparse")
+def test_help_and_usage_errors_match_the_record(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    record = json.loads(_HELP_RECORD.read_text())
+    assert set(record) == {"--help", "no-such-command"} | {f"{name} --help" for name in cli._COMMANDS}
+    for _ in range(2):
+        for argv, expected in record.items():
+            with pytest.raises(SystemExit) as exc:
+                main(argv.split())
+            out = capsys.readouterr()
+            assert (exc.value.code, out.out, out.err) == (expected["code"], expected["stdout"], expected["stderr"])

@@ -177,6 +177,78 @@ class TestIqProject:
             iq_project(IqBatch(pts), n_restarts=n_restarts)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        pts = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="IqBatch values must be finite"):
+            IqBatch(pts)
+
+    def test_restarts_at_one_optimum_keep_the_first(self):
+        # every restart reaches the same optimum here, up to the last bits
+        # and the component order; the first restart is the one kept
+        rng = np.random.default_rng(4)
+        pts = np.vstack([rng.normal([0, 0], 0.1, (300, 2)), rng.normal([0.8, 0.3], 0.1, (300, 2))])
+        full = iq_project(IqBatch(pts))
+        one = iq_project(IqBatch(pts), n_restarts=1)
+        for name in ("projected", "means", "weights"):
+            np.testing.assert_array_equal(getattr(full, name), getattr(one, name))
+        for name in ("delta_v", "sigma", "snr", "log_likelihood"):
+            assert getattr(full, name) == getattr(one, name)
+
+
+def _one_restart_em(x, seed):
+    """One restart of the (n, 2, 2) EM that iq_project ran before its
+    per-axis rows: the oracle for ``n_restarts=1``."""
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    m0 = x[rng.integers(n)]
+    d2 = ((x - m0) ** 2).sum(axis=1)
+    m1 = x[rng.choice(n, p=d2 / d2.sum())]
+    means = np.vstack([m0, m1]).astype(float)
+    weights = np.array([0.5, 0.5])
+    var = float(np.var(x))
+    ll_prev = -np.inf
+    d = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    for _ in range(300):
+        logp = np.log(weights)[None, :] - d / (2.0 * var) - math.log(2.0 * math.pi * var)
+        m = logp.max(axis=1, keepdims=True)
+        p = np.exp(logp - m)
+        norm = p.sum(axis=1, keepdims=True)
+        resp = p / norm
+        ll = float((np.log(norm[:, 0]) + m[:, 0]).sum())
+        wsum = resp.sum(axis=0)
+        weights = wsum / n
+        means = (resp.T @ x) / wsum[:, None]
+        d = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        var = max(float((resp * d).sum() / (2.0 * n)), 1e-30 * float(np.std(x)) ** 2)
+        if abs(ll - ll_prev) < 1e-12 * max(abs(ll), 1.0):
+            break
+        ll_prev = ll
+    return ll, means, weights, var
+
+
+@pytest.mark.parametrize("rng_seed, centres, sigma, n_per, em_seed", [
+    (5, ([0, 0], [1, 0]), 0.01, 400, 0),  # TestIqProject's two clusters
+    (6, ([0, 0], [1, 0.2]), 0.12, 500, 3),
+    (7, ([0, 0], [0.4, 0]), 0.05, 3000, 11),
+    (12, ([0.3, -1.0], [0.1, -0.75]), 0.08, 120, 7),
+])
+def test_iq_project_one_restart_matches_the_oracle(rng_seed, centres, sigma, n_per, em_seed):
+    rng = np.random.default_rng(rng_seed)
+    x = np.vstack([rng.normal(c, sigma, (n_per, 2)) for c in centres])
+    ll, means, weights, var = _one_restart_em(x, em_seed)
+    proj = iq_project(IqBatch(x), seed=em_seed, n_restarts=1)
+    delta_v = float(np.linalg.norm(means[1] - means[0]))
+    rel = dict(rtol=1e-9, atol=0)
+    np.testing.assert_allclose(proj.means, means, **rel)
+    np.testing.assert_allclose(proj.weights, weights, **rel)
+    np.testing.assert_allclose(proj.log_likelihood, ll, **rel)
+    np.testing.assert_allclose(proj.delta_v, delta_v, **rel)
+    np.testing.assert_allclose(proj.sigma, math.sqrt(var), **rel)
+    np.testing.assert_allclose(proj.snr, delta_v / math.sqrt(var), **rel)
+
+
 class TestHistogram:
     def test_identical_values_single_bin(self):
         centers, counts = build_histogram(np.full(50, 0.3), 10, range_=(0.0, 1.0))
