@@ -328,7 +328,7 @@ def _cmd_fit_hmm(config, seed, prefix):
 
 
 def _cmd_fit_histogram(config, seed, prefix):
-    data = _read_csv_columns(config["input_csv"], 2)
+    _, data = _read_csv_columns(config["input_csv"], 2)
     init = _density_from_config(config["init"])
     params, fit = fit_histogram(data[:, 0], data[:, 1], float(config["t_s"]), config["mode"], init)
     payload = {
@@ -357,7 +357,7 @@ def _cmd_fit_physics(config, seed, prefix):
         model = get_model(config["model"])
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
-    data = _read_csv_columns(config["input_csv"], 2)
+    _, data = _read_csv_columns(config["input_csv"], 2)
     weights = data[:, 2] if data.shape[1] >= 3 else None
     fit = fit_model(model, data[:, 0], data[:, 1], init=config["init"], weights=weights)
     payload = {
@@ -378,7 +378,7 @@ def _cmd_snr(config, seed, prefix):
     if mode == "iq":
         if not config["input_csv"]:
             raise ConfigError("snr mode 'iq' requires input_csv")
-        data = _read_csv_columns(config["input_csv"], 2)
+        _, data = _read_csv_columns(config["input_csv"], 2)
         proj = iq_project(IqBatch(data[:, :2]))
         payload = {
             "delta_v": proj.delta_v,

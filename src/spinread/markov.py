@@ -412,7 +412,7 @@ def _trace_generators(seed: int, n_traces: int, key=()):
     """Trace k's generator, the bits of ``np.random.default_rng((seed, k,
     *key))``, for k = 0 .. n_traces - 1; the seed states are hashed up
     front and each generator built as it is taken."""
-    if seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if n_traces >= 1 << 32:
         raise ValueError("n_traces must be < 2**32")
@@ -843,8 +843,8 @@ def _run_chunk(params: HmmParams, chain, y: np.ndarray, ends=(), log_lik: bool =
 
     Returns the chunk's :class:`_Forward`, with the per-trace log-likelihood
     only if ``log_lik``; with ``stored``, the emission factors and, at
-    L = 1, the forward variables that :func:`_smooth` reads. A stored
-    segmented record gets them from :func:`_segment_forward`.
+    L = 1, the forward variables, for a stored chunk's one further call,
+    :func:`_smooth`, which runs the in-segment forward pass at L > 1.
     """
     live, pi, a = chain
     k, start, a_t = live.size, np.flatnonzero(pi > 0.0), a.T
@@ -875,44 +875,29 @@ def _run_chunk(params: HmmParams, chain, y: np.ndarray, ends=(), log_lik: bool =
         return _Forward(seg, post, ll, alphas, c if stored else None, p, u)
 
 
-def _segment_forward(params: HmmParams, chain, y: np.ndarray, fwd: _Forward) -> _Forward:
-    """The stored record ``fwd`` of chunk y (:func:`_run_chunk`) with its
-    forward variables: at L > 1 every segment's forward recursion at once,
-    segment 0 from pi and each later one from the stitch (``fwd.u``).
-    alphas (S + 1, k, L*n) holds in slot s + 1 the forward variable of step
-    s scaled to sum to c_s (:func:`_carry`), in slot 0 the normalised one
-    each segment starts from (zeros for segment 0). If a scale is not > 0
-    the chunk runs again with L = 1."""
-    seg = fwd.seg
-    if seg.count == 1:
-        return fwd
-    _, pi, a = chain
-    k, n, count = pi.size, seg.n, seg.count
-    alphas = np.zeros((seg.span + 1, k, count * n))
-    alphas[0, :, n:] = fwd.u[:-1].sum(axis=3).transpose(2, 0, 1).reshape(k, (count - 1) * n)
-    prop = np.empty((k, count * n))
-    prop[:, :n] = pi[:, None]
-    prop[:, n:] = a.T @ alphas[0, :, n:]
-    c = _carry(a.T, prop[:, None], seg, out=alphas[1:, :, None])[1]
-    if not np.all(c > 0.0):
-        return _run_chunk(params, chain, y, log_lik=fwd.log_lik is not None, stored=True, count=1)
-    return fwd._replace(alphas=alphas, c=c)
+def _smooth(params: HmmParams, chain, y: np.ndarray, fwd: _Forward,
+            centres: np.ndarray | None = None):
+    """The rest of the stored pass ``fwd`` of chunk y (:func:`_run_chunk`).
 
+    At L > 1 it first runs every segment's forward recursion at once,
+    segment 0 from pi and each later one from the stitch (``fwd.u``):
+    slot s + 1 of alphas (S + 1, k, L*n) gets the forward variable of step
+    s scaled to sum to c_s (:func:`_carry`), slot 0 the normalised one each
+    segment starts from (zeros for segment 0). A scale that is not > 0
+    sends the chunk back to :func:`_run_chunk` at L = 1, and that record
+    is smoothed.
 
-def _smooth(a: np.ndarray, fwd: _Forward, centres: np.ndarray | None = None):
-    """Backward pass over a stored forward pass ``fwd`` (:func:`_run_chunk`).
-
-    Without ``centres`` it returns None and leaves the posteriors in
-    ``fwd.alphas``: slot s + 1 holds gamma_s of every segment, (k, L*n),
-    zero at padded steps. With ``centres`` (k,) it leaves alphas as they
-    are and returns the E-step sums, added up as the pass forms each
-    gamma_s: pi (k,), the time-zero occupancy; xi (k, k), the expected
-    transition counts without the factor a(i, j); and moments (k, 3, n),
-    per live state and trace the sums of gamma, gamma * d and gamma * d^2,
-    where d is the sample's deviation from the state's centre. The
-    re-estimation sums run over t in any order (Rabiner 1989), so the
-    moments are summed per column, (k, 3, L*n), step after step, then over
-    the segments, and nothing is put back into time order.
+    Without ``centres`` it returns the record, its alphas turned into the
+    posteriors: slot s + 1 holds gamma_s of every segment, (k, L*n), zero
+    at padded steps. With ``centres`` (k,) it returns the E-step sums,
+    added up as the pass forms each gamma_s: pi (k,), the time-zero
+    occupancy; xi (k, k), the expected transition counts without the
+    factor a(i, j); and moments (k, 3, n), per live state and trace the
+    sums of gamma, gamma * d and gamma * d^2, where d is the sample's
+    deviation from the state's centre. The re-estimation sums run over t
+    in any order (Rabiner 1989), so the moments are summed per column,
+    (k, 3, L*n), step after step, then over the segments, and nothing is
+    put back into time order.
 
     The backward variable at the end of segment l-1 is P_l^T times the one
     at the end of segment l, scaled so that sum alpha * beta = 1 there, as
@@ -930,8 +915,21 @@ def _smooth(a: np.ndarray, fwd: _Forward, centres: np.ndarray | None = None):
     step, one more per further run of ``seg.runs``, and five more with
     ``centres``.
     """
+    _, pi, a = chain
+    seg = fwd.seg
+    k, n, count = pi.size, seg.n, seg.count
+    if count > 1:
+        alphas = np.zeros((seg.span + 1, k, count * n))
+        alphas[0, :, n:] = fwd.u[:-1].sum(axis=3).transpose(2, 0, 1).reshape(k, (count - 1) * n)
+        prop = np.empty((k, count * n))
+        prop[:, :n] = pi[:, None]
+        prop[:, n:] = a.T @ alphas[0, :, n:]
+        c = _carry(a.T, prop[:, None], seg, out=alphas[1:, :, None])[1]
+        fwd = fwd._replace(alphas=alphas, c=c)
+        if not np.all(c > 0.0):
+            fwd = _run_chunk(params, chain, y, log_lik=fwd.log_lik is not None, stored=True, count=1)
     seg, alphas, c, p = fwd.seg, fwd.alphas, fwd.c, fwd.p
-    k, n, count = alphas.shape[1], seg.n, seg.count
+    count = seg.count
     cut = (count - 1) * n
     beta = np.zeros((k, count * n))
     if count > 1:
@@ -974,7 +972,7 @@ def _smooth(a: np.ndarray, fwd: _Forward, centres: np.ndarray | None = None):
             alphas[s + 1] *= beta
         beta = a @ w
     if not stats:
-        return None
+        return fwd
     # gamma_0 of segment 0 is the time-zero posterior
     pi = gamma[:, :n].sum(axis=1)
     return pi, step_xi.sum(axis=0), sums.reshape(k, 3, count, n).sum(axis=2)
@@ -989,10 +987,9 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
     _check_dt(params, trace.dt)
     n_window = _window_samples(trace.dt, trace.samples.size, t_read)
     chain = _live_chain(params.pi, params.a)
-    live, _, a = chain
+    live = chain[0]
     y = trace.samples[np.newaxis, :n_window]
-    fwd = _segment_forward(params, chain, y, _run_chunk(params, chain, y, log_lik=True, stored=True))
-    _smooth(a, fwd)
+    fwd = _smooth(params, chain, y, _run_chunk(params, chain, y, log_lik=True, stored=True))
     # one trace's gamma, (S, k, L) segment-major, to time order
     gamma = fwd.alphas[1:].transpose(2, 0, 1).reshape(-1, live.size)[:n_window]
     probs = np.zeros((n_window, N_STATES))
@@ -1002,8 +999,8 @@ def forward_backward(params: HmmParams, trace: Trace, t_read: float | None = Non
 
 def _sample_matrix(samples) -> np.ndarray:
     y = np.asarray(samples, dtype=float)
-    if y.ndim != 2:
-        raise ValueError("samples must be 2-D")
+    if y.ndim != 2 or y.shape[1] == 0:
+        raise ValueError("samples must be 2-D with at least one column")
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
     return y
@@ -1210,12 +1207,12 @@ def em_fit(
     step of its folded samples, which the emission factors and the moments
     read, is L runs of adjacent floats. The E-step adds its sums up inside
     the backward pass (:func:`_smooth`) and builds no posteriors in time
-    order, only per-trace sums. The last chunk runs only its transfers and
-    stitch, or its one-segment forward pass, before the convergence test;
-    its in-segment forward pass and its smoothing follow only if the fit
-    goes on, so a converged E-step on one chunk runs the log-likelihood
-    alone. A converged fit returns the parameters its last E-step scored,
-    so ``final_log_likelihood`` is the last entry of ``log_likelihoods``. A
+    order, only per-trace sums. A chunk takes :func:`_run_chunk`, then
+    :func:`_smooth`; the last chunk's second call waits for the
+    convergence test, so a converged E-step on one chunk runs only its
+    transfers and stitch, or its one-segment forward pass. A converged fit
+    returns the parameters its last E-step scored, so
+    ``final_log_likelihood`` is the last entry of ``log_likelihoods``. A
     fit stopped at ``max_iter`` returns one more M-step's parameters and
     scores them with one more forward pass (None if their likelihood
     vanishes).
@@ -1256,15 +1253,14 @@ def em_fit(
         for i, y in enumerate(chunks, 1):
             fwd = _run_chunk(params, chain, y, log_lik=True, stored=True)
             ll_total += fwd.total_log_lik()
-            # the last chunk's in-segment forward pass waits for the
-            # convergence test
+            # the last chunk is smoothed after the convergence test
             if i < len(chunks):
-                stats.append(_smooth(a_live, _segment_forward(params, chain, y, fwd), centres))
+                stats.append(_smooth(params, chain, y, fwd, centres))
         lls.append(ll_total)
         if len(lls) >= 2 and abs(ll_total - lls[-2]) < tol * abs(lls[-2]):
             converged = True
             break
-        stats.append(_smooth(a_live, _segment_forward(params, chain, y, fwd), centres))
+        stats.append(_smooth(params, chain, y, fwd, centres))
         pis, xis, per_trace = zip(*stats)
         pi_sum, xi_sum = sum(pis), sum(xis)
         # each chunk's per-trace moment columns (k, 3, n) over its traces

@@ -60,9 +60,9 @@ class ResonatorParams:
 
     def __post_init__(self):
         for name in ("f0", "q_r", "q_int", "c_p", "c_c", "l", "r_c"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError("beta must be >= 0")
         expected = (1.0 + self.beta) * self.q_r
         if abs(self.q_int - expected) > 1e-9 * expected:
@@ -124,7 +124,7 @@ def reflectometry_snr(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    if delta_c <= 0.0 or c_tot <= 0.0:
+    if not (delta_c > 0.0 and c_tot > 0.0):
         raise ValueError("capacitances must be > 0")
     coupling = 2.0 * r.beta / (1.0 + r.beta) ** 2
     return eta * coupling * r.q_int * (delta_c / c_tot) * v_ratio
@@ -138,7 +138,7 @@ def resonator_from_vna(
     Q_r = f0/df, beta = |Gamma_V - 1| / (Gamma_V + 1), Q_int = (1+beta) Q_r,
     C_p = 1/(4 pi^2 f0^2 L) - C_c, R_C = Q_int sqrt(L / (C_c + C_p)).
     """
-    if f0 <= 0 or delta_f <= 0 or l <= 0 or c_c <= 0:
+    if not (f0 > 0 and delta_f > 0 and l > 0 and c_c > 0):
         raise ValueError("f0, delta_f, l, c_c must be > 0")
     if not 0.0 <= gamma_v_at_f0 < 1.0:
         raise ValueError("gamma_v_at_f0 must lie in [0, 1)")
@@ -160,9 +160,9 @@ def lz_probability(delta, velocity):
     """Diabatic transition probability exp(-2 pi Delta^2 / (hbar v))."""
     delta = np.asarray(delta, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
-    if np.any(delta < 0):
+    if not np.all(delta >= 0):
         raise ValueError("delta must be >= 0")
-    if np.any(velocity <= 0):
+    if not np.all(velocity > 0):
         raise ValueError("velocity must be > 0")
     out = np.exp(-2.0 * math.pi * delta**2 / (HBAR * velocity))
     return float(out) if out.ndim == 0 else out
@@ -176,9 +176,9 @@ def coulomb_fwhm(alpha, t_mxc, t_e):
     alpha = np.asarray(alpha, dtype=float)
     t_mxc = np.asarray(t_mxc, dtype=float)
     t_e = np.asarray(t_e, dtype=float)
-    if np.any(alpha <= 0):
+    if not np.all(alpha > 0):
         raise ValueError("alpha must be > 0")
-    if np.any(t_mxc < 0) or np.any(t_e < 0):
+    if not (np.all(t_mxc >= 0) and np.all(t_e >= 0)):
         raise ValueError("temperatures must be >= 0")
     out = 3.53 * K_BOLTZMANN / (E_CHARGE * alpha) * np.sqrt(t_mxc**2 + t_e**2)
     return float(out) if out.ndim == 0 else out
@@ -190,7 +190,7 @@ def ict_lineshape(epsilon, t_c, t_e):
     0.5 [1 - eps/Omega * tanh(Omega / (2 kB Te))], Omega = sqrt(eps^2 + 4 tc^2).
     """
     epsilon = np.asarray(epsilon, dtype=float)
-    if t_c <= 0 or t_e <= 0:
+    if not (t_c > 0 and t_e > 0):
         raise ValueError("t_c and t_e must be > 0")
     omega = np.sqrt(epsilon**2 + 4.0 * t_c**2)
     out = 0.5 * (1.0 - epsilon / omega * np.tanh(omega / (2.0 * K_BOLTZMANN * t_e)))
@@ -204,7 +204,7 @@ def damped_rabi(t, amplitude, t2_star, f_rabi, phase, angular: bool = False):
     ``angular=True`` to use 2 pi f t instead. Fits are self-consistent
     under either convention.
     """
-    if t2_star <= 0:
+    if not t2_star > 0:
         raise ValueError("t2_star must be > 0")
     t = np.asarray(t, dtype=float)
     omega = 2.0 * math.pi * f_rabi if angular else f_rabi
@@ -214,9 +214,9 @@ def damped_rabi(t, amplitude, t2_star, f_rabi, phase, angular: bool = False):
 
 def min_integration_time(snr: float, t_read: float) -> float:
     """Integration time at which the power SNR reaches one: t_read / SNR^2."""
-    if snr <= 0:
+    if not snr > 0:
         raise ValueError("snr must be > 0")
-    if t_read <= 0:
+    if not t_read > 0:
         raise ValueError("t_read must be > 0")
     return t_read / snr**2
 
@@ -226,7 +226,7 @@ def tunnel_rate_from_gate(v_gate, gamma0: float, v_scale: float):
 
     Both constants are device calibration inputs.
     """
-    if gamma0 <= 0 or v_scale == 0:
+    if not (gamma0 > 0 and abs(v_scale) > 0):
         raise ValueError("gamma0 must be > 0 and v_scale nonzero")
     out = gamma0 * np.exp(np.asarray(v_gate, dtype=float) / v_scale)
     return float(out) if out.ndim == 0 else out

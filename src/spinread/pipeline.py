@@ -129,12 +129,10 @@ class TraceBundle:
 
     @classmethod
     def from_csv(cls, path: str) -> "TraceBundle":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        if len(header) != 2 or header[0] != "dt":
+        header, data = _read_csv_columns(path, 1)
+        if header is None or len(header) != 2 or header[0] != "dt":
             raise ValueError("CSV must start with a 'dt,<value>' header row")
         dt = float(header[1])
-        data = _read_csv_columns(path, 1)
         manifest = BundleManifest(dt=dt, n_traces=data.shape[0], n_samples=data.shape[1])
         return cls(manifest, data)
 
@@ -204,9 +202,11 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
-    """Rows of finite numbers, all of one length; only the first line may be
-    a header, and only when its first field is not a number."""
+def _read_csv_columns(path: str, min_cols: int):
+    """(header, rows): rows of finite numbers, all of one length, as a
+    matrix. Only the first line may be a header, and only when its first
+    field is not a number; header is its fields, else None."""
+    header = None
     rows = []
     with open(path) as fh:
         try:
@@ -221,7 +221,8 @@ def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
             row = [float(v) for v in line.split(",")]
         except ValueError:
             if lineno == 1 and not _is_number(line.split(",", 1)[0]):
-                continue  # header row
+                header = line.split(",")
+                continue
             raise ValueError(f"{path} line {lineno} is not numeric: {line!r}") from None
         if (rows and len(row) != len(rows[0])) or not all(map(math.isfinite, row)):
             raise ValueError(f"{path} line {lineno} is not a full row of finite numbers")
@@ -229,7 +230,7 @@ def _read_csv_columns(path: str, min_cols: int) -> np.ndarray:
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] < min_cols:
         raise ValueError(f"{path} must have at least {min_cols} numeric columns")
-    return data
+    return header, data
 
 
 def drift_correct(bundle: TraceBundle, window: int = 50) -> TraceBundle:

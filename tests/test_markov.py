@@ -513,6 +513,20 @@ def test_non_finite_samples_rejected(run):
             run(params, samples)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p, y: start_posterior_batch(p, y),
+        lambda p, y: start_posteriors_at(p, y, [1]),
+    ],
+    ids=["start_posterior_batch", "start_posteriors_at"],
+)
+def test_samples_without_columns_rejected(run):
+    params = _random_params(np.random.default_rng(65))
+    with pytest.raises(ValueError, match="2-D with at least one column"):
+        run(params, np.zeros((5, 0)))
+
+
 def _switching_fit_inputs():
     """40 x 25 traces with fluctuator switching, so all six states are
     live, and an init off in every parameter."""
@@ -1153,7 +1167,7 @@ class TestEmSmoothing:
         smooth = markov._smooth
 
         def counted(*args, **kwargs):
-            calls.append(args[1].seg.n)
+            calls.append(args[3].seg.n)
             return smooth(*args, **kwargs)
 
         monkeypatch.setattr(markov, "_smooth", counted)
@@ -1171,17 +1185,19 @@ class TestEmSmoothing:
         live = markov._live_states(init.pi, init.a)
         assert markov._segment_count(live.size, *batch.samples.shape) > 1
         calls = []
-        stored = markov._segment_forward
+        carry = markov._carry
 
-        def counted(*args):
-            # the in-segment forward pass of a segmented chunk
-            calls.append(args[3].seg.count > 1)
-            return stored(*args)
+        def counted(a_t, x, seg, ends=(), out=None):
+            # the in-segment forward pass: segmented, keeping its forward
+            # variables
+            if seg.count > 1 and out is not None:
+                calls.append(seg.count)
+            return carry(a_t, x, seg, ends, out)
 
-        monkeypatch.setattr(markov, "_segment_forward", counted)
+        monkeypatch.setattr(markov, "_carry", counted)
         fit = sr.em_fit(batch, init)
         assert fit.converged and fit.n_iterations == 5
-        assert calls == [True] * (fit.n_iterations - 1)
+        assert len(calls) == fit.n_iterations - 1
 
     def test_stopped_fit_smooths_every_step(self, monkeypatch):
         batch, init = _reference_fit_inputs()

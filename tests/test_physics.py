@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,3 +316,62 @@ class TestGateMapping:
     def test_invalid_raises(self):
         with pytest.raises(ValueError):
             tunnel_rate_from_gate(0.1, -1.0, 0.05)
+
+
+_RESONATOR = dict(
+    f0=578.6e6, q_r=74.8, q_int=1.42 * 74.8, beta=0.42,
+    c_p=0.56e-12, c_c=0.2e-12, l=88.7e-9, r_c=38.6e3,
+)
+# each function with valid keyword arguments, and the message its check of
+# each argument raises
+_CHECKED = [
+    (SensorParams, dict(alpha_drt=0.17, t_electron=0.09, f_rf=576e6, gamma=1e9), {
+        "alpha_drt": "alpha_drt must lie in [0, 1)",
+        **{name: f"{name} must be finite and > 0" for name in ("t_electron", "f_rf", "gamma")},
+    }),
+    (ResonatorParams, _RESONATOR, {
+        **{name: f"{name} must be > 0" for name in ("f0", "q_r", "q_int", "c_p", "c_c", "l", "r_c")},
+        "beta": "beta must be >= 0",
+    }),
+    (reflectometry_snr,
+     dict(r=ResonatorParams(**_RESONATOR), delta_c=1e-15, c_tot=1e-12, eta=0.8, v_ratio=100.0), {
+        "eta": "eta must lie in [0, 1]",
+        "delta_c": "capacitances must be > 0",
+        "c_tot": "capacitances must be > 0",
+    }),
+    (resonator_from_vna, dict(f0=583.9e6, delta_f=5.6e6, gamma_v_at_f0=0.05, l=88.7e-9, c_c=0.2e-12), {
+        **{name: "f0, delta_f, l, c_c must be > 0" for name in ("f0", "delta_f", "l", "c_c")},
+        "gamma_v_at_f0": "gamma_v_at_f0 must lie in [0, 1)",
+    }),
+    (lz_probability, dict(delta=1e-27, velocity=1e-20), {
+        "delta": "delta must be >= 0", "velocity": "velocity must be > 0",
+    }),
+    (coulomb_fwhm, dict(alpha=0.17, t_mxc=0.01, t_e=0.09), {
+        "alpha": "alpha must be > 0",
+        "t_mxc": "temperatures must be >= 0",
+        "t_e": "temperatures must be >= 0",
+    }),
+    (ict_lineshape, dict(epsilon=0.0, t_c=1e-24, t_e=0.04), {
+        "t_c": "t_c and t_e must be > 0", "t_e": "t_c and t_e must be > 0",
+    }),
+    (damped_rabi, dict(t=1e-6, amplitude=0.35, t2_star=0.4e-6, f_rabi=17e6, phase=0.0), {
+        "t2_star": "t2_star must be > 0",
+    }),
+    (min_integration_time, dict(snr=10.0, t_read=328e-6), {
+        "snr": "snr must be > 0", "t_read": "t_read must be > 0",
+    }),
+    (tunnel_rate_from_gate, dict(v_gate=0.1, gamma0=1e9, v_scale=0.05), {
+        "gamma0": "gamma0 must be > 0 and v_scale nonzero",
+        "v_scale": "gamma0 must be > 0 and v_scale nonzero",
+    }),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, name, match", [
+    pytest.param(fn, kwargs, name, match, id=f"{fn.__name__}-{name}")
+    for fn, kwargs, checks in _CHECKED for name, match in checks.items()
+])
+def test_nan_argument_fails_its_check(fn, kwargs, name, match):
+    fn(**kwargs)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        fn(**dict(kwargs, **{name: math.nan}))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spinread as sr
+from spinread import pipeline
 from spinread.markov import TraceBatch
 from spinread.pipeline import (
     BundleManifest,
@@ -323,6 +324,27 @@ class TestPersistence:
         loaded = TraceBundle.from_csv(path)
         np.testing.assert_array_equal(loaded.data, bundle.data)
         assert loaded.manifest.dt == bundle.manifest.dt
+
+    def test_from_csv_opens_its_file_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "traces.csv")
+        TraceBundle(BundleManifest(dt=1e-6, n_traces=2, n_samples=3), np.ones((2, 3))).to_csv(path)
+        opened = []
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", counted, raising=False)
+        assert TraceBundle.from_csv(path).manifest.dt == 1e-6
+        assert opened == [path]
+
+    @pytest.mark.parametrize("text", ["1,2\n3,4\n", "time,1e-6\n1,2\n", "dt\n1,2\n"],
+                             ids=["no_header", "other_header", "no_value"])
+    def test_from_csv_without_a_dt_header_raises(self, tmp_path, text):
+        path = tmp_path / "traces.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="CSV must start with a 'dt,<value>' header row"):
+            TraceBundle.from_csv(str(path))
 
     def test_csv_round_trip_of_a_bundle_with_backgrounds_keeps_the_readout(self, tmp_path):
         bundle = _bundle_with_backgrounds(np.random.default_rng(17), n_traces=3, n_samples=3, n_bg=1)

@@ -191,7 +191,7 @@ def test_smoothed_statistics(name, segmenting):
     expected = _ref_smoothed_statistics(a, yt, b, alphas, c, centres)[:3]
     fwd = markov._run_chunk(params, chain, y, log_lik=True, stored=True)
     np.testing.assert_allclose(fwd.total_log_lik(), ll.sum(), **RTOL)
-    pi, xi, per_trace = markov._smooth(a, markov._segment_forward(params, chain, y, fwd), centres)
+    pi, xi, per_trace = markov._smooth(params, chain, y, fwd, centres)
     # the per-trace moment columns add up to the chunk's
     for g, e in zip((pi, xi, per_trace.sum(axis=2)), expected):
         np.testing.assert_allclose(g, e, **RTOL)
@@ -210,7 +210,7 @@ def test_per_trace_moments(name, segmenting):
     d = yt[:, None, :] - centres[:, None]
     terms = np.stack([gamma, gamma * d, gamma * d * d], axis=2)
     fwd = markov._run_chunk(params, chain, y, log_lik=True, stored=True)
-    per_trace = markov._smooth(a, markov._segment_forward(params, chain, y, fwd), centres)[2]
+    per_trace = markov._smooth(params, chain, y, fwd, centres)[2]
     assert per_trace.shape == (live.size, 3, y.shape[0])
     error = np.abs(per_trace - terms.sum(axis=0))
     assert np.all(error <= 1e-12 * np.abs(terms).sum(axis=0) + 1e-290)

@@ -262,3 +262,24 @@ def test_batch_of_2_pow_32_traces_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("seed", [1.7, 2.0, True], ids=["fraction", "whole_float", "bool"])
+def test_seed_that_is_not_an_integer_raises(seed):
+    params = _reference_point(10e-6)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        sr.simulate_batch(params, 2, 5, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        markov.simulate_backgrounds(2, 5, seed, 0.0, 1.0)
+
+
+def test_numpy_integer_seed_gives_the_same_bits():
+    params = _reference_point(10e-6)
+    got = sr.simulate_batch(params, 3, 40, seed=np.int64(5))
+    want = sr.simulate_batch(params, 3, 40, seed=5)
+    np.testing.assert_array_equal(got.samples, want.samples)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    np.testing.assert_array_equal(
+        markov.simulate_backgrounds(3, 7, np.int64(5), 0.1, 0.2),
+        markov.simulate_backgrounds(3, 7, 5, 0.1, 0.2),
+    )
